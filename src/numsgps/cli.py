@@ -137,7 +137,7 @@ def cmd_enumerate(args, parser) -> int:
 
 
 def cmd_tree_dot(args, parser) -> int:
-    sys.stdout.write(export_dot(args.multiplicity, args.depth))
+    sys.stdout.write(export_dot(args.multiplicity, args.depth, _node_cap()))
     return 0
 
 

@@ -66,7 +66,7 @@ def theta_apply(theta: ThetaMap, s: NumericalSemigroup) -> frozenset[int]:
     f = s.frobenius
     if theta is ThetaMap.GAMMA:
         lo = (f // s.multiplicity) * s.multiplicity
-        return frozenset(x for x in s.gaps if lo <= x)
+        return frozenset(x for x in range(lo, f + 1) if x not in s)
     if theta is ThetaMap.FROBENIUS_ONLY:
         return frozenset({f})
     pf = s.pseudo_frobenius()

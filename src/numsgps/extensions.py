@@ -43,14 +43,15 @@ def is_pertinent(s: NumericalSemigroup, a) -> bool:
         raise WholeMonoid("pertinence is undefined for the full monoid")
     a = set(a)
     pf = set(s.pseudo_frobenius())
-    if not a <= pf:
-        return False
-    for x in a:
-        for y in a:
-            if y < x:
-                continue
-            total = x + y
-            if total in pf and total not in a:
+    return a <= pf and _closed(tuple(a), pf)
+
+
+def _closed(subset: tuple[int, ...], pf: set[int]) -> bool:
+    """No sum of two elements of subset lands in pf outside subset."""
+    chosen = set(subset)
+    for i, x in enumerate(subset):
+        for y in subset[i:]:
+            if x + y in pf and x + y not in chosen:
                 return False
     return True
 
@@ -66,19 +67,9 @@ def pertinent_sets(s: NumericalSemigroup) -> list[PertinentSet]:
     pfset = set(pf)
     found = []
     for mask in range(1 << t):
-        subset = [pf[i] for i in range(t) if mask >> i & 1]
-        chosen = set(subset)
-        ok = True
-        for ix, x in enumerate(subset):
-            for y in subset[ix:]:
-                total = x + y
-                if total in pfset and total not in chosen:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(tuple(subset))
+        subset = tuple(pf[i] for i in range(t) if mask >> i & 1)
+        if _closed(subset, pfset):
+            found.append(subset)
     found.sort(key=lambda ms: (len(ms), ms))
     return [PertinentSet(s, ms) for ms in found]
 

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexity import ThetaMap, complexity, theta_apply
 from .errors import LevelTooLarge, WholeMonoid
-from .semigroup import NumericalSemigroup, from_gaps
+from .semigroup import NumericalSemigroup, _from_apery, from_gaps
 
 DEFAULT_NODE_CAP = 10_000_000
 
@@ -60,11 +59,7 @@ def child_edges(t: NumericalSemigroup) -> list[tuple[NumericalSemigroup, tuple[i
     edges = []
     for mask in range(1, 1 << len(cand)):
         removed = tuple(cand[i] for i in range(len(cand)) if mask >> i & 1)
-        child = t.without(removed)
-        assert child.multiplicity == t.multiplicity
-        assert complexity(child) == complexity(t) + 1
-        assert child.adjoin(theta_apply(ThetaMap.GAMMA, child)) == t
-        edges.append((child, removed))
+        edges.append((t.without(removed), removed))
     return edges
 
 
@@ -74,18 +69,22 @@ def children(t: NumericalSemigroup) -> list[NumericalSemigroup]:
 
 
 def level(m: int, n: int, max_nodes: int = DEFAULT_NODE_CAP) -> TreeLevel:
-    """The depth-n level of the multiplicity-m tree, sorted by generators."""
+    """The depth-n level of the multiplicity-m tree, sorted by generators.
+
+    Raises LevelTooLarge as soon as a level passes ``max_nodes`` nodes.
+    """
     if n < 0:
         raise ValueError("depth must be nonnegative")
     frontier = [root(m)]
     for _ in range(n):
-        frontier = [c for t in frontier for c in children(t)]
-        if len(frontier) > max_nodes:
-            raise LevelTooLarge(
-                f"level of G({m}) exceeds the cap of {max_nodes} nodes")
+        nxt = []
+        for t in frontier:
+            nxt.extend(children(t))
+            if len(nxt) > max_nodes:
+                raise LevelTooLarge(
+                    f"level of G({m}) exceeds the cap of {max_nodes} nodes")
+        frontier = nxt
     members = sorted(frontier, key=lambda s: s.min_generators)
-    assert len(set(members)) == len(members)
-    assert all(complexity(s) == n + 1 for s in members)
     return TreeLevel(m, n, tuple(members))
 
 
@@ -111,24 +110,16 @@ def shift_embed(s: NumericalSemigroup) -> NumericalSemigroup:
     if s.is_whole:
         raise WholeMonoid("the full monoid has no shift embedding")
     m = s.multiplicity
-    members = {0} | {m + x for x in s.small_elements}
-    shifted = _build_shift(members, s.frobenius + m + 1)
-    assert shifted.multiplicity == m
-    assert shifted.frobenius == s.frobenius + m
-    assert complexity(shifted) == complexity(s) + 1
-    return shifted
+    ap = s.apery_set(m).elements
+    return _from_apery(m, (0, *(w + m for w in ap[1:])))
 
 
-def _build_shift(members, upper):
-    gaps = set(range(1, upper)) - members
-    return from_gaps(gaps)
-
-
-def export_dot(m: int, max_depth: int) -> str:
+def export_dot(m: int, max_depth: int, max_nodes: int = DEFAULT_NODE_CAP) -> str:
     """DOT digraph of the multiplicity-m tree down to ``max_depth``.
 
     Nodes are generator literals in breadth-first order; each edge is
-    labeled with the removed generator set, e.g. {7,8}.
+    labeled with the removed generator set, e.g. {7,8}.  Raises
+    LevelTooLarge as soon as the tree passes ``max_nodes`` nodes.
     """
     if max_depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -143,6 +134,9 @@ def export_dot(m: int, max_depth: int) -> str:
                     label = "{" + ",".join(str(x) for x in removed) + "}"
                     edges.append(f'  "{t}" -> "{child}" [label="{label}"];')
                     nxt.append(child)
+                    if len(edges) >= max_nodes:  # the root plus one node per edge
+                        raise LevelTooLarge(
+                            f"tree of G({m}) exceeds the cap of {max_nodes} nodes")
         frontier = nxt
     lines = [f'digraph "G({m})" {{', "  rankdir=TB;", *nodes, *edges, "}"]
     return "\n".join(lines) + "\n"

@@ -13,10 +13,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .complexity import ThetaMap, complexity, mu
+from .complexity import ThetaMap, complexity, mu, theta_apply
 from .errors import GenusTooLarge, TypeTooLarge, WholeMonoid
 from .extensions import ideal_extensions
-from .genealogy import enumerate_semigroups
+from .genealogy import child_edges, enumerate_semigroups
 from .semigroup import WHOLE, NumericalSemigroup, from_gaps
 
 MAX_CATALOG_GENUS = 12
@@ -191,7 +191,8 @@ def check_tree(catalog: GenusCatalog) -> str | None:
 
     A semigroup with multiplicity m and complexity c has genus at most
     c(m−1), so the catalog covers the whole (m, c) class whenever
-    c(m−1) ≤ max_genus.
+    c(m−1) ≤ max_genus.  An edge between covered classes must also keep m,
+    add one to the complexity, and lead back to its parent under gamma.
     """
     gmax = catalog.max_genus
     by_class: dict[tuple[int, int], list[NumericalSemigroup]] = {}
@@ -209,8 +210,22 @@ def check_tree(catalog: GenusCatalog) -> str | None:
                 return (f"tree mismatch at m={m} c={c}: "
                         f"tree={[str(s) for s in got]} "
                         f"catalog={[str(s) for s in expected]}")
+            for t in expected if (c + 1) * (m - 1) <= gmax else ():
+                for child, removed in child_edges(t):
+                    if fault := _edge_fault(t, child):
+                        return (f"tree edge mismatch at {t} minus {list(removed)}: "
+                                f"child {child} {fault}")
             c += 1
     return None
+
+
+def _edge_fault(t: NumericalSemigroup, child: NumericalSemigroup) -> str | None:
+    if child.multiplicity != t.multiplicity:
+        return f"has multiplicity {child.multiplicity}"
+    if complexity(child) != complexity(t) + 1:
+        return f"has complexity {complexity(child)}, parent {complexity(t)}"
+    up = child.adjoin(theta_apply(ThetaMap.GAMMA, child))
+    return None if up == t else f"goes back to {up} under gamma"
 
 
 CHECKS = {

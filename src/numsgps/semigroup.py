@@ -7,16 +7,18 @@ is the genus g(S), and the smallest nonzero member is the multiplicity
 m(S).  The full monoid of nonnegative integers has no gaps; by convention
 its Frobenius number is -1.
 
-Every instance is canonical and immutable: it stores the unique minimal
-generating set plus the sorted list of *small elements*, the members not
-exceeding F(S)+1.  Membership above that range is trivially true, and no
-operation in this package ever needs to look past F(S) + 2 m(S), so the
-small-element table is a complete representation.  Two instances compare
-equal exactly when their minimal generating sets agree.
+Every instance is canonical and immutable: it stores only the Apéry set
+Ap(S, m) = (w_0, ..., w_{m-1}), w_i the least member ≡ i mod m.  Then x is
+a member iff x >= w_{x mod m}, F = max w - m, the genus is the sum of the
+Kunz coordinates (w_i - i)/m, and the minimal generators are m and the w_i
+that are no sum of two nonzero w_j.  Closure is the Kunz inequalities
+w_i + w_j >= w_{(i+j) mod m}, O(m²) to check however large F is.  Equal
+minimal generating sets make equal instances.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from math import gcd
 
 from .errors import (
@@ -63,24 +65,13 @@ class NumericalSemigroup:
     multiplicity : int, smallest nonzero member
     """
 
-    __slots__ = (
-        "min_generators",
-        "small_elements",
-        "frobenius",
-        "genus",
-        "multiplicity",
-        "_members",
-        "_pf",
-    )
+    __slots__ = ("min_generators", "frobenius", "genus", "multiplicity",
+                 "_apery", "_pf", "_small", "_gaps")
 
     def __init__(self, *generators):
         if len(generators) == 1 and not isinstance(generators[0], int):
             generators = tuple(generators[0])
-        src = _from_generators(generators)
-        for name in ("min_generators", "small_elements", "frobenius",
-                     "genus", "multiplicity", "_members"):
-            object.__setattr__(self, name, getattr(src, name))
-        object.__setattr__(self, "_pf", None)
+        _from_apery(*_round_robin(generators), into=self)
 
     def __setattr__(self, name, value):
         raise AttributeError("NumericalSemigroup is immutable")
@@ -90,7 +81,7 @@ class NumericalSemigroup:
     @classmethod
     def from_generators(cls, generators) -> "NumericalSemigroup":
         """The semigroup generated by ``generators`` (need not be minimal)."""
-        return _from_generators(tuple(generators))
+        return cls(tuple(generators))
 
     @classmethod
     def from_gaps(cls, gaps) -> "NumericalSemigroup":
@@ -100,14 +91,10 @@ class NumericalSemigroup:
         ``gaps`` is not closed under addition.
         """
         gapset = set(gaps)
-        for x in gapset:
-            if not isinstance(x, int) or x < 1:
-                raise ValueError(f"gaps must be positive integers, got {x!r}")
+        _check_ints(gapset, 1, "gaps must be positive integers")
         if not gapset:
             return WHOLE
-        upper = max(gapset) + 1
-        members = {x for x in range(upper + 1) if x not in gapset}
-        return _build(members, upper)
+        return _scan(lambda x: x not in gapset, len(gapset))
 
     @classmethod
     def parse(cls, text: str) -> "NumericalSemigroup":
@@ -123,12 +110,12 @@ class NumericalSemigroup:
             gens = [int(p) for p in parts]
         except ValueError:
             raise ValueError(f"invalid semigroup literal: {text!r}") from None
-        return _from_generators(tuple(gens))
+        return cls(gens)
 
     # -- membership ----------------------------------------------------
 
     def __contains__(self, x) -> bool:
-        return isinstance(x, int) and x >= 0 and (x > self.frobenius or x in self._members)
+        return isinstance(x, int) and x >= 0 and x >= self._apery[x % self.multiplicity]
 
     def contains(self, x: int) -> bool:
         """True iff x is a member (negative x never is)."""
@@ -141,9 +128,20 @@ class NumericalSemigroup:
                 yield x
 
     @property
+    def small_elements(self) -> tuple[int, ...]:
+        """All members up to F+1 (up to 1 for the full monoid), derived on first use."""
+        if self._small is None:
+            top = max(self.frobenius + 1, self.multiplicity)
+            object.__setattr__(self, "_small", tuple(self.elements(top)))
+        return self._small
+
+    @property
     def gaps(self) -> tuple[int, ...]:
-        """All positive integers outside the semigroup, in increasing order."""
-        return tuple(x for x in range(1, self.frobenius + 1) if x not in self._members)
+        """All positive integers outside the semigroup, derived on first use."""
+        if self._gaps is None:
+            gaps = tuple(x for x in range(1, self.frobenius + 1) if x not in self)
+            object.__setattr__(self, "_gaps", gaps)
+        return self._gaps
 
     @property
     def is_whole(self) -> bool:
@@ -157,7 +155,7 @@ class NumericalSemigroup:
 
     def issubset(self, other: "NumericalSemigroup") -> bool:
         """True iff every member of self is a member of other."""
-        return all(g not in self for g in other.gaps)
+        return all(g in other for g in self.min_generators)
 
     # -- classical invariants -------------------------------------------
 
@@ -165,15 +163,12 @@ class NumericalSemigroup:
         """The least member of each residue class mod n, for a nonzero member n."""
         if n <= 0 or n not in self:
             raise NotAMember(f"{n} is not a nonzero member of {self}")
-        least: list[int | None] = [None] * n
-        found = 0
-        x = 0
-        while found < n:
-            if least[x % n] is None and x in self:
-                least[x % n] = x
-                found += 1
-            x += 1
-        return AperySet(n, tuple(least))
+        if n == self.multiplicity:
+            return AperySet(n, self._apery)
+        least: dict[int, int] = {}
+        for x in self.elements(self.frobenius + n):  # each class has a member <= F + n
+            least.setdefault(x % n, x)
+        return AperySet(n, tuple(least[i] for i in range(n)))
 
     def pseudo_frobenius(self) -> tuple[int, ...]:
         """The gaps x with x + s a member for every nonzero member s.
@@ -185,9 +180,9 @@ class NumericalSemigroup:
             raise WholeMonoid("the full monoid has no pseudo-Frobenius numbers")
         if self._pf is None:
             m = self.multiplicity
-            ap = self.apery_set(m).elements
-            maximals = [w for w in ap
-                        if not any(w2 != w and (w2 - w) in self for w2 in ap)]
+            ap = self._apery
+            maximals = [w for w in ap  # w2 - w in S, negative differences never are
+                        if not any(w2 != w and w2 - w >= ap[(w2 - w) % m] for w2 in ap)]
             object.__setattr__(self, "_pf", tuple(sorted(w - m for w in maximals)))
         return self._pf
 
@@ -203,10 +198,19 @@ class NumericalSemigroup:
         Raises NotASemigroup if the enlarged set is not closed.
         """
         extra = set(extra)
-        if any(not isinstance(x, int) or x < 0 for x in extra):
-            raise ValueError("adjoined elements must be nonnegative integers")
-        members = set(self.small_elements) | {x for x in extra if x <= self.frobenius}
-        return _build(members, max(self.frobenius + 1, 1))
+        _check_ints(extra, 0, "adjoined elements must be nonnegative integers")
+        added = {x for x in extra if x not in self}
+        if not added:
+            return self
+        m, old = self.multiplicity, self._apery
+        member = lambda x: x >= old[x % m] or x in added  # noqa: E731
+        gaps = self.genus - len(added)
+        if min(added) < m:
+            return _scan(member, gaps)
+        ap = list(old)
+        for x in added:
+            ap[x % m] = min(ap[x % m], x)
+        return _from_apery(m, tuple(ap), gaps, member)
 
     def without(self, removed) -> "NumericalSemigroup":
         """The semigroup obtained by deleting the nonzero members ``removed``.
@@ -217,11 +221,18 @@ class NumericalSemigroup:
         if not removed:
             return self
         for x in removed:
-            if not isinstance(x, int) or x < 1 or x not in self:
+            if isinstance(x, bool) or x not in self or x < 1:
                 raise ValueError(f"can only remove nonzero members, got {x!r}")
-        upper = max(self.frobenius + 1, max(removed) + 1)
-        members = {x for x in range(upper + 1) if x in self} - removed
-        return _build(members, upper)
+        m, old = self.multiplicity, self._apery
+        member = lambda x: x >= old[x % m] and x not in removed  # noqa: E731
+        gaps = self.genus + len(removed)
+        if m in removed:
+            return _scan(member, gaps)
+        ap = list(old)
+        for x in removed:
+            while ap[x % m] in removed:
+                ap[x % m] += m
+        return _from_apery(m, tuple(ap), gaps, member)
 
     # -- canonical form ----------------------------------------------------
 
@@ -253,28 +264,8 @@ class NumericalSemigroup:
 
 # -- module-level operation aliases ---------------------------------------
 
-def from_generators(generators) -> NumericalSemigroup:
-    return NumericalSemigroup.from_generators(generators)
-
-
-def from_gaps(gaps) -> NumericalSemigroup:
-    return NumericalSemigroup.from_gaps(gaps)
-
-
-def contains(s: NumericalSemigroup, x: int) -> bool:
-    return x in s
-
-
-def apery_set(s: NumericalSemigroup, n: int) -> AperySet:
-    return s.apery_set(n)
-
-
-def pseudo_frobenius(s: NumericalSemigroup) -> tuple[int, ...]:
-    return s.pseudo_frobenius()
-
-
-def leq_s(s: NumericalSemigroup, a: int, b: int) -> bool:
-    return s.leq(a, b)
+from_generators = NumericalSemigroup.from_generators
+from_gaps = NumericalSemigroup.from_gaps
 
 
 def type_of(s: NumericalSemigroup) -> int:
@@ -284,101 +275,109 @@ def type_of(s: NumericalSemigroup) -> int:
 
 # -- construction internals -------------------------------------------------
 
-def _new_instance(msg, small, frob, genus, mult) -> NumericalSemigroup:
-    s = object.__new__(NumericalSemigroup)
-    object.__setattr__(s, "min_generators", msg)
-    object.__setattr__(s, "small_elements", small)
-    object.__setattr__(s, "frobenius", frob)
-    object.__setattr__(s, "genus", genus)
-    object.__setattr__(s, "multiplicity", mult)
-    object.__setattr__(s, "_members", frozenset(small))
-    object.__setattr__(s, "_pf", None)
-    return s
+def _check_ints(values, least: int, message: str) -> None:
+    for x in values:
+        if not isinstance(x, int) or isinstance(x, bool) or x < least:
+            raise ValueError(f"{message}, got {x!r}")
 
 
-def _from_generators(generators) -> NumericalSemigroup:
+def _round_robin(generators) -> tuple[int, tuple[int, ...]]:
+    """Multiplicity and Apéry set of <generators> in O(k·m) steps, no work growing with F.
+
+    The round-robin algorithm of Böcker and Lipták (Algorithmica, 2007).
+    """
+    _check_ints(generators, 1, "generators must be positive integers")
     gens = sorted(set(generators))
     if not gens:
         raise ValueError("at least one generator is required")
-    for g in gens:
-        if not isinstance(g, int) or g < 1:
-            raise ValueError(f"generators must be positive integers, got {g!r}")
-    d = 0
-    for g in gens:
-        d = gcd(d, g)
-    if d != 1:
+    if (d := gcd(*gens)) != 1:
         raise GcdNotOne(f"gcd of generators is {d}, not 1")
-    if gens[0] == 1:
-        return WHOLE
-    m = gens[0]
-    member = [True]
-    run = 0
-    i = 0
-    while run < m:
-        i += 1
-        if i - m > MAX_FROBENIUS:
-            raise FrobeniusTooLarge(
-                f"Frobenius number of <{','.join(map(str, gens))}> exceeds {MAX_FROBENIUS}")
-        is_member = any(g <= i and member[i - g] for g in gens)
-        member.append(is_member)
-        run = run + 1 if is_member else 0
-    frob = i - m
-    members = {x for x in range(frob + 2) if member[x]}
-    return _build(members, frob + 1)
+    m, inf = gens[0], float("inf")
+    ap = [inf]  # F >= m - 1, so a larger m is refused without building
+    if m - 1 <= MAX_FROBENIUS:
+        ap = [0] + [inf] * (m - 1)
+        for a in gens[1:]:
+            d = gcd(a, m)
+            for r in range(d):  # walk the cycle r, r + a, ... from its least entry
+                n = min(ap[r::d])
+                if n == inf:
+                    continue
+                for _ in range(m // d - 1):
+                    n += a
+                    p = n % m
+                    n = ap[p] = min(n, ap[p])
+    if max(ap) - m > MAX_FROBENIUS:
+        raise FrobeniusTooLarge(
+            f"Frobenius number of <{','.join(map(str, gens))}> exceeds {MAX_FROBENIUS}")
+    return m, tuple(ap)
 
 
-def _build(members: set[int], upper: int) -> NumericalSemigroup:
-    """Canonicalize a member set given explicitly up to ``upper``.
+def _scan(member, gaps: int) -> NumericalSemigroup:
+    """The candidate set ``member`` with ``gaps`` nonmembers, found in O(F + m) tests."""
+    m = next(x for x in count(1) if member(x))
+    ap = tuple(next(x for x in count(i, m) if member(x)) for i in range(m))
+    return _from_apery(m, ap, gaps, member)
 
-    Every integer above ``upper`` is an implicit member.  Validates
-    additive closure and raises NotASemigroup with a witness pair.
+
+def _from_apery(m, ap, gaps=None, member=None, into=None) -> NumericalSemigroup:
+    """The semigroup with multiplicity m and Apéry set ``ap``, set up in ``into`` if given.
+
+    For a candidate set, pass its membership test, its gap count and as
+    ``ap`` its least member per class mod m.  It is a semigroup iff the Kunz
+    sum counts every gap and the Kunz inequalities hold; if not, NotASemigroup
+    carries the witness a scan over all pairs finds first.
     """
-    frob = -1
-    for x in range(upper, 0, -1):
-        if x not in members:
-            frob = x
-            break
-    if frob == -1:
-        return WHOLE
-    small = tuple(x for x in range(frob + 2) if x == frob + 1 or x in members)
-    if small[0] != 0:
-        raise NotASemigroup("0 must be a member")
-    mult = small[1]
-    nonzero = small[1:-1]  # nonzero members <= frobenius
-    memberset = set(small)
-    for ia, a in enumerate(nonzero):
-        for b in nonzero[ia:]:
-            total = a + b
-            if total > frob:
-                break
-            if total not in memberset:
-                raise NotASemigroup(
-                    f"not closed under addition: {a} + {b} = {total} is missing",
-                    witness=(a, b))
-    genus = (frob + 1) - (len(small) - 1)
-    msg = _minimal_generators(memberset, frob, mult)
-    return _new_instance(msg, small, frob, genus, mult)
+    genus = sum((w - i) // m for i, w in enumerate(ap))
+    summed = _sums_in_apery(m, ap)
+    if member is not None and (genus != gaps or summed is None):
+        a, b = _witness(m, ap, member, genus == gaps)
+        raise NotASemigroup(
+            f"not closed under addition: {a} + {b} = {a + b} is missing",
+            witness=(a, b))
+    msg = (m, *sorted(w for i, w in enumerate(ap) if i and i not in summed))
+    s = object.__new__(NumericalSemigroup) if into is None else into
+    for name, value in zip(NumericalSemigroup.__slots__,
+                           (msg, max(ap) - m, genus, m, ap, None, None, None)):
+        object.__setattr__(s, name, value)
+    return s
 
 
-def _minimal_generators(memberset: set[int], frob: int, mult: int) -> tuple[int, ...]:
-    """Members of [m, F+m] that are not a sum of two nonzero members.
+def _sums_in_apery(m, ap):
+    """Residues k with w_k = w_i + w_j, i, j nonzero: the w_k that are no minimal generator.
 
-    A sum decomposition s = a + b with m <= a <= b forces a <= s - m <= F,
-    so scanning witnesses a over the small nonzero members is exhaustive.
+    None if some w_i + w_j falls below its w_k, breaking a Kunz inequality.
     """
-    def is_member(x):
-        return x > frob or x in memberset
+    summed = set()
+    twice = ap + ap
+    for i in range(1, m):
+        w = ap[i]
+        for j, c in enumerate(twice[2 * i:m + i], i):  # c = w_{(i+j) mod m}
+            d = w + ap[j] - c
+            if d <= 0:
+                if d < 0:
+                    return None
+                summed.add((i + j) % m)
+    return summed
 
-    nonzero = [a for a in sorted(memberset) if 0 < a <= frob]
-    msg = []
-    for s in range(mult, frob + mult + 1):
-        if not is_member(s):
-            continue
-        if any(a <= s - mult and is_member(s - a) for a in nonzero):
-            continue
-        msg.append(s)
-    return tuple(msg)
+
+def _witness(m, ap, member, prefix_closed):
+    """The lexicographically first (a, b), a <= b, with a + b a nonmember.
+
+    If a class mod m is no up-set, m + y leaves it for a member y >= m, so
+    a = m; else a failing pair still fails with both lowered to Apéry elements.
+    """
+    if not prefix_closed:
+        b = m
+        while not member(b) or member(m + b):
+            b += 1
+        return m, b
+    for a in sorted(ap[1:]):
+        least = [max(w, w - (w - a) // m * m) for w in ap]  # least member >= a, per class
+        found = [b for j, b in enumerate(least) if a + b < ap[(a + j) % m]]
+        if found:
+            return a, min(found)
+    raise RuntimeError("no witness, yet a Kunz inequality fails")
 
 
 #: The full monoid of nonnegative integers, printed as <1>.
-WHOLE = _new_instance((1,), (0, 1), -1, 0, 1)
+WHOLE = _from_apery(1, (0,))

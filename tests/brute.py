@@ -27,3 +27,26 @@ def closure_witness(members, bound):
             if a + b not in members:
                 return (a, b)
     return None
+
+
+def naive_invariants(members, upper):
+    """(minimal generators, F, genus, multiplicity) of a closed set.
+
+    ``members`` describes the set up to ``upper``; every larger integer is
+    a member.  The set is stored whole and every sum decomposition is
+    tried, O(F²): the construction the package used before its Apéry-set
+    core, kept here as a second route.
+    """
+    frob = max((x for x in range(1, upper + 1) if x not in members), default=-1)
+    if frob == -1:
+        return (1,), -1, 0, 1
+
+    def is_member(x):
+        return x > frob or x in members
+
+    mult = min(x for x in range(1, frob + 2) if is_member(x))
+    nonzero = [a for a in range(1, frob + 1) if a in members]
+    msg = tuple(s for s in range(mult, frob + mult + 1) if is_member(s) and
+                not any(a <= s - mult and is_member(s - a) for a in nonzero))
+    genus = frob - len(nonzero)
+    return msg, frob, genus, mult

@@ -231,3 +231,11 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "5\n"
+
+
+def test_node_cap_applies_to_tree_dot(capsys, monkeypatch):
+    monkeypatch.setenv("NUMSGPS_NODE_CAP", "5")
+    assert run("tree-dot", "-m", "4", "--depth", "3") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cap of 5 nodes" in captured.err

@@ -181,3 +181,11 @@ def test_export_dot_shapes():
     assert single.count('";') == 1 and "->" not in single
     with pytest.raises(ValueError):
         export_dot(3, -1)
+
+
+def test_export_dot_node_cap():
+    assert export_dot(2, 2, max_nodes=3) == G2_DOT  # exactly three nodes
+    with pytest.raises(LevelTooLarge):
+        export_dot(2, 2, max_nodes=2)
+    with pytest.raises(LevelTooLarge):
+        export_dot(4, 3, max_nodes=5)

@@ -4,6 +4,7 @@ from numsgps import oracle
 from numsgps.complexity import complexity
 from numsgps.errors import GenusTooLarge, WholeMonoid
 from numsgps.extensions import ideal_extensions
+from numsgps.genealogy import child_edges as genuine_child_edges
 from numsgps.oracle import (CHECKS, GenusCatalog, check_complexity,
                             check_extensions, check_pf, check_tree,
                             enumerate_by_genus, extensions_bruteforce,
@@ -141,3 +142,21 @@ def test_check_tree_covers_only_complete_classes(catalog8):
     by_class = [s for s in catalog8.semigroups
                 if not s.is_whole and s.multiplicity == 4 and complexity(s) == 2]
     assert sorted(by_class, key=lambda s: s.min_generators) == enumerate_semigroups(4, 2)
+
+
+@pytest.mark.parametrize("parent, real, fake, fault", [
+    ((3, 4, 5), (3, 5, 7), (3, 7, 11), "has complexity 3, parent 1"),
+    ((3, 4, 5), (3, 5, 7), (4, 5, 6, 7), "has multiplicity 4"),
+    ((3, 7, 8), (3, 8, 10), (3, 5), "goes back to <3,5,7> under gamma"),
+])
+def test_check_tree_reports_a_tampered_edge(monkeypatch, parent, real, fake, fault):
+    parent, real, fake = (NumericalSemigroup(g) for g in (parent, real, fake))
+
+    def tampered(t):
+        return [(fake if t == parent and c == real else c, r)
+                for c, r in genuine_child_edges(t)]
+
+    monkeypatch.setattr(oracle, "child_edges", tampered)
+    removed = dict((c, r) for c, r in genuine_child_edges(parent))[real]
+    assert check_tree(enumerate_by_genus(6)) == (
+        f"tree edge mismatch at {parent} minus {list(removed)}: child {fake} {fault}")

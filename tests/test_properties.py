@@ -1,0 +1,128 @@
+"""Property tests: the Apéry-set core against the naive routes in brute.py."""
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from brute import closure_witness, naive_invariants, naive_members
+from numsgps.errors import NotASemigroup
+from numsgps.semigroup import NumericalSemigroup, from_gaps
+
+# a few seconds in all; construction times vary too much on a shared host for a deadline
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def generator_sets(draw):
+    """Up to 4 generators with gcd 1 and least generator m <= 40."""
+    m = draw(st.integers(2, 40))
+    rest = draw(st.lists(st.integers(m + 1, 100), min_size=1, max_size=3))
+    gens = [m, *rest]
+    d = 0
+    for g in gens:
+        d = gcd(d, g)
+    if d != 1:
+        gens[-1] = m + 1
+    return tuple(gens)
+
+
+@st.composite
+def semigroups(draw):
+    return NumericalSemigroup(draw(generator_sets()))
+
+
+@SETTINGS
+@given(generator_sets())
+def test_small_elements_match_naive_members(gens):
+    s = NumericalSemigroup(gens)
+    f, m = s.frobenius, s.multiplicity
+    expected = naive_members(gens, f + m)
+    assert set(s.small_elements) == {x for x in expected if x <= f + 1}
+    assert f not in expected and all(x in expected for x in range(f + 1, f + m + 1))
+
+
+@SETTINGS
+@given(generator_sets())
+def test_min_generators_are_minimal(gens):
+    s = NumericalSemigroup(gens)
+    assert set(s.min_generators) <= set(gens)
+    for g in s.min_generators:
+        assert not any(a in s and g - a in s for a in range(1, g)), g
+    assert NumericalSemigroup(s.min_generators) == s
+    assert all(g in s for g in gens)
+
+
+@SETTINGS
+@given(semigroups())
+def test_from_gaps_round_trip(s):
+    t = from_gaps(s.gaps)
+    assert t == s
+    assert (t.frobenius, t.genus, t.multiplicity) == (s.frobenius, s.genus, s.multiplicity)
+
+
+@SETTINGS
+@given(semigroups())
+def test_invariants_match_naive_build(s):
+    members = set(s.small_elements)
+    assert naive_invariants(members, s.frobenius + 1) == (
+        s.min_generators, s.frobenius, s.genus, s.multiplicity)
+
+
+@SETTINGS
+@given(st.sets(st.integers(1, 40), min_size=1, max_size=25))
+def test_gap_sets_are_checked_with_the_first_witness(gaps):
+    bound = max(gaps)
+    members = {x for x in range(bound + 1) if x not in gaps}
+    witness = closure_witness(members, bound)
+    if witness is None:
+        assert from_gaps(gaps).gaps == tuple(sorted(gaps))
+        return
+    with pytest.raises(NotASemigroup) as exc:
+        from_gaps(gaps)
+    assert exc.value.witness == witness
+
+
+@SETTINGS
+@given(semigroups(), st.data())
+def test_adjoin_matches_naive_closure(s, data):
+    if s.is_whole:
+        return
+    # class tops w - m keep every residue class an up-set, so only the
+    # Kunz inequalities can fail; arbitrary gaps mostly break an up-set
+    m = s.multiplicity
+    tops = [w - m for w in s.apery_set(m).elements if w > m]
+    pool = tops if tops and data.draw(st.booleans()) else s.gaps
+    extra = data.draw(st.sets(st.sampled_from(pool), min_size=1))
+    f = s.frobenius
+    members = set(s.small_elements) | extra
+    witness = closure_witness(members, f)
+    if witness is None:
+        t = s.adjoin(extra)
+        assert set(t.gaps) == set(s.gaps) - extra
+        assert t.min_generators == naive_invariants(members, f + 1)[0]
+        return
+    with pytest.raises(NotASemigroup) as exc:
+        s.adjoin(extra)
+    assert exc.value.witness == witness
+
+
+@SETTINGS
+@given(semigroups(), st.data())
+def test_without_matches_naive_closure(s, data):
+    m = s.multiplicity
+    top = s.frobenius + 2 * m
+    # removing class bottoms (Apéry elements) keeps every class an up-set
+    pool = ([w for w in s.apery_set(m).elements if w] if m > 1 and data.draw(st.booleans())
+            else [x for x in range(1, top + 1) if x in s])
+    removed = data.draw(st.sets(st.sampled_from(pool), min_size=1, max_size=4))
+    members = {x for x in range(top + 1) if x in s} - removed
+    witness = closure_witness(members, top)
+    if witness is None:
+        t = s.without(removed)
+        assert set(t.gaps) == set(s.gaps) | removed
+        assert t.min_generators == naive_invariants(members, top)[0]
+        return
+    with pytest.raises(NotASemigroup) as exc:
+        s.without(removed)
+    assert exc.value.witness == witness

@@ -1,7 +1,10 @@
+import time
+
 import pytest
 
 from brute import closure_witness, naive_members
 from numsgps import semigroup
+from numsgps.complexity import complexity
 from numsgps.errors import (FrobeniusTooLarge, GcdNotOne, NotAMember,
                             NotASemigroup, WholeMonoid)
 from numsgps.semigroup import (WHOLE, AperySet, NumericalSemigroup, from_gaps,
@@ -267,3 +270,38 @@ def test_min_generators_are_minimal(catalog8):
             sums = {a + b for a in nonzero for b in nonzero if a + b == g}
             assert not sums, (s, g)
         assert NumericalSemigroup(s.min_generators) == s
+
+
+def test_bools_are_not_integers():
+    with pytest.raises(ValueError) as exc:
+        NumericalSemigroup(True, 3)
+    assert "generators must be positive integers" in str(exc.value)
+    with pytest.raises(ValueError):
+        NumericalSemigroup([3, False])
+    with pytest.raises(ValueError) as exc:
+        from_gaps([True])
+    assert "gaps must be positive integers" in str(exc.value)
+    with pytest.raises(ValueError):
+        NumericalSemigroup(3, 5).adjoin({True})
+    with pytest.raises(ValueError):
+        NumericalSemigroup(2, 3).without({True})
+
+
+def test_frobenius_guard_fires_before_the_work():
+    start = time.process_time()
+    with pytest.raises(FrobeniusTooLarge):
+        NumericalSemigroup(1000, 10**12 + 1)
+    with pytest.raises(FrobeniusTooLarge):
+        NumericalSemigroup(2**41, 2**41 + 1)  # F >= m - 1 refuses it unbuilt
+    assert time.process_time() - start < 1.0
+
+
+def test_large_two_generator_semigroup_is_fast():
+    start = time.process_time()
+    s = NumericalSemigroup(1001, 1003)
+    f = 1001 * 1003 - 1001 - 1003
+    assert s.frobenius == f
+    assert s.genus == 1000 * 1002 // 2
+    assert s.pseudo_frobenius() == (f,)
+    assert complexity(s) == f // 1001 + 1
+    assert time.process_time() - start < 1.0
