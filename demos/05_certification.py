@@ -29,7 +29,7 @@ for name, check in CHECKS.items():
 print()
 
 s = NumericalSemigroup(3, 7, 11)
-print(f"breadth-first search over extension chains from {s}:")
+print(f"exhaustive search over ideal-extension chains from {s}:")
 print(f"  shortest chain length {min_ichain_bfs(s)}, "
       f"closed form {complexity(s)}")
 print()

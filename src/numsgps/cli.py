@@ -48,13 +48,14 @@ def _msg_line(s: NumericalSemigroup, gap_style: bool) -> str:
 
 
 def _node_cap() -> int:
-    raw = os.environ.get(NODE_CAP_ENV)
-    if raw is None:
-        return DEFAULT_NODE_CAP
+    raw = os.environ.get(NODE_CAP_ENV, str(DEFAULT_NODE_CAP))
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        raise ValueError(f"{NODE_CAP_ENV} must be an integer, got {raw!r}") from None
+        cap = 0  # reported below with the other invalid values
+    if cap < 1:
+        raise ValueError(f"{NODE_CAP_ENV} must be a positive integer, got {raw!r}")
+    return cap
 
 
 def _add_semigroup_args(sub):

@@ -42,15 +42,13 @@ def removal_candidates(t: NumericalSemigroup) -> tuple[int, ...]:
     """Minimal generators of t above (⌊F/m⌋+1)·m, the removable ones.
 
     They all lie strictly between (q+1)m and (q+2)m with q = ⌊F/m⌋,
-    so there are at most m−1 of them.
+    so there are at most m−1 of them; ``oracle.check_tree`` certifies this
+    on every edge it walks.
     """
     if t.is_whole:
         raise WholeMonoid("the full monoid has no children")
-    m = t.multiplicity
-    threshold = (t.frobenius // m + 1) * m
-    cand = tuple(x for x in t.min_generators if x > threshold)
-    assert all(x < threshold + m for x in cand) and len(cand) <= m - 1
-    return cand
+    threshold = (t.frobenius // t.multiplicity + 1) * t.multiplicity
+    return tuple(x for x in t.min_generators if x > threshold)
 
 
 def child_edges(t: NumericalSemigroup) -> list[tuple[NumericalSemigroup, tuple[int, ...]]]:
@@ -68,24 +66,41 @@ def children(t: NumericalSemigroup) -> list[NumericalSemigroup]:
     return [child for child, _ in child_edges(t)]
 
 
+def _walk(first, edges, depth: int, max_nodes: int):
+    """Breadth-first levels 0..depth of the tree ``edges`` grows from ``first``.
+
+    ``edges(t)`` lists t's (child, label) pairs.  Each level is a list of
+    (parent, child, label) triples, level 0 being [(None, first, None)].
+    Raises LevelTooLarge as soon as the nodes built, ``first`` included,
+    pass ``max_nodes``.
+    """
+    lvl, built = [(None, first, None)], 1
+    for _ in range(depth):
+        yield lvl
+        nxt = []
+        for _, t, _ in lvl:
+            for child, label in edges(t):
+                nxt.append((t, child, label))
+            if built + len(nxt) > max_nodes:
+                raise LevelTooLarge(
+                    f"tree below {first} exceeds the cap of {max_nodes} nodes")
+        built += len(nxt)
+        lvl = nxt
+    yield lvl
+
+
 def level(m: int, n: int, max_nodes: int = DEFAULT_NODE_CAP) -> TreeLevel:
     """The depth-n level of the multiplicity-m tree, sorted by generators.
 
-    Raises LevelTooLarge as soon as a level passes ``max_nodes`` nodes.
+    Raises LevelTooLarge as soon as the tree down to depth n passes
+    ``max_nodes`` nodes.
     """
     if n < 0:
         raise ValueError("depth must be nonnegative")
-    frontier = [root(m)]
-    for _ in range(n):
-        nxt = []
-        for t in frontier:
-            nxt.extend(children(t))
-            if len(nxt) > max_nodes:
-                raise LevelTooLarge(
-                    f"level of G({m}) exceeds the cap of {max_nodes} nodes")
-        frontier = nxt
-    members = sorted(frontier, key=lambda s: s.min_generators)
-    return TreeLevel(m, n, tuple(members))
+    for lvl in _walk(root(m), child_edges, n, max_nodes):
+        pass
+    return TreeLevel(m, n, tuple(sorted((t for _, t, _ in lvl),
+                                        key=lambda s: s.min_generators)))
 
 
 def enumerate_semigroups(m: int, c: int,
@@ -124,19 +139,11 @@ def export_dot(m: int, max_depth: int, max_nodes: int = DEFAULT_NODE_CAP) -> str
     if max_depth < 0:
         raise ValueError("depth must be nonnegative")
     nodes, edges = [], []
-    frontier = [root(m)]
-    for depth in range(max_depth + 1):
-        nxt = []
-        for t in frontier:
-            nodes.append(f'  "{t}";')
-            if depth < max_depth:
-                for child, removed in child_edges(t):
-                    label = "{" + ",".join(str(x) for x in removed) + "}"
-                    edges.append(f'  "{t}" -> "{child}" [label="{label}"];')
-                    nxt.append(child)
-                    if len(edges) >= max_nodes:  # the root plus one node per edge
-                        raise LevelTooLarge(
-                            f"tree of G({m}) exceeds the cap of {max_nodes} nodes")
-        frontier = nxt
+    for lvl in _walk(root(m), child_edges, max_depth, max_nodes):
+        for t, child, removed in lvl:
+            nodes.append(f'  "{child}";')
+            if t is not None:
+                label = "{" + ",".join(str(x) for x in removed) + "}"
+                edges.append(f'  "{t}" -> "{child}" [label="{label}"];')
     lines = [f'digraph "G({m})" {{', "  rankdir=TB;", *nodes, *edges, "}"]
     return "\n".join(lines) + "\n"

@@ -5,18 +5,20 @@ implementations can be checked against it on small instances: a complete
 catalog of semigroups up to a genus bound, pseudo-Frobenius numbers
 straight from the definition, ideal extensions by filtering all 2^t
 subsets with an explicit closure test, and the minimal i-chain length by
-breadth-first search over the extension graph.  The ``verify`` CLI
+a memoised recursion over the extension graph, which is acyclic because
+every proper extension has fewer gaps.  The ``verify`` CLI
 command and the test suite both run these.
 """
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 
 from .complexity import ThetaMap, complexity, mu, theta_apply
 from .errors import GenusTooLarge, TypeTooLarge, WholeMonoid
 from .extensions import ideal_extensions
-from .genealogy import child_edges, enumerate_semigroups
+from .genealogy import DEFAULT_NODE_CAP, _walk, child_edges, root
 from .semigroup import WHOLE, NumericalSemigroup, from_gaps
 
 MAX_CATALOG_GENUS = 12
@@ -44,25 +46,21 @@ def enumerate_by_genus(max_genus: int) -> GenusCatalog:
 
     Each semigroup of genus g+1 is some genus-g semigroup minus a single
     minimal generator exceeding its Frobenius number, and arises that way
-    exactly once, so the walk is complete and duplicate-free.
+    exactly once, so the walk is complete and duplicate-free (``check_tree``
+    certifies the latter).
     """
     if max_genus < 0:
         raise ValueError("genus bound must be nonnegative")
     if max_genus > MAX_CATALOG_GENUS:
         raise GenusTooLarge(
             f"genus {max_genus} exceeds the catalog guard {MAX_CATALOG_GENUS}")
-    levels = [(WHOLE,)]
-    for _ in range(max_genus):
-        nxt = []
-        for s in levels[-1]:
-            f = s.frobenius
-            for x in s.min_generators:
-                if x > f:
-                    nxt.append(s.without({x}))
-        nxt.sort(key=lambda t: t.min_generators)
-        assert len(set(nxt)) == len(nxt)
-        levels.append(tuple(nxt))
-    return GenusCatalog(max_genus, tuple(levels))
+
+    def edges(s):
+        return [(s.without({x}), x) for x in s.min_generators if x > s.frobenius]
+
+    return GenusCatalog(max_genus, tuple(
+        tuple(sorted((s for _, s, _ in lvl), key=lambda s: s.min_generators))
+        for lvl in _walk(WHOLE, edges, max_genus, DEFAULT_NODE_CAP)))
 
 
 def pf_bruteforce(s: NumericalSemigroup) -> set[int]:
@@ -111,21 +109,26 @@ def extensions_bruteforce(s: NumericalSemigroup) -> list[NumericalSemigroup]:
 
 
 def min_ichain_bfs(s: NumericalSemigroup) -> int:
-    """Length of the shortest i-chain from s to the full monoid."""
+    """Length of the shortest i-chain from s to the full monoid.
+
+    Found without the closed form, by recursion over the ideal-extension
+    graph: 0 for the full monoid, otherwise one more than the least value
+    over the proper extensions of s.  The graph is acyclic (a proper
+    extension has fewer gaps) and results are memoised across calls.
+    """
     if s.genus > MAX_BFS_GENUS:
         raise GenusTooLarge(
             f"genus {s.genus} exceeds the BFS guard {MAX_BFS_GENUS}")
-    dist = {s: 0}
-    queue = deque([s])
-    while queue:
-        cur = queue.popleft()
-        if cur.is_whole:
-            return dist[cur]
-        for nb in ideal_extensions(cur):
-            if nb != cur and nb not in dist:
-                dist[nb] = dist[cur] + 1
-                queue.append(nb)
-    raise RuntimeError("the full monoid must be reachable")
+    return _shortest(s)
+
+
+# A proper extension has fewer gaps, so the extension graph is acyclic and
+# the recursion ends.  Every node it reaches has genus at most the input's,
+# which the guard keeps within MAX_BFS_GENUS = 10, so the cache holds at
+# most the 478 semigroups of the genus-10 catalog.
+@cache
+def _shortest(s: NumericalSemigroup) -> int:
+    return 0 if s.is_whole else 1 + min(map(_shortest, ideal_extensions(s, proper=True)))
 
 
 def pf_gap_search(max_genus: int) -> list[tuple[NumericalSemigroup, int, int]]:
@@ -173,7 +176,7 @@ def check_extensions(catalog: GenusCatalog) -> str | None:
 
 
 def check_complexity(catalog: GenusCatalog) -> str | None:
-    """⌊F/m⌋+1 against the gamma chain and against BFS shortest chains."""
+    """⌊F/m⌋+1 against the gamma chain and against the shortest i-chain."""
     for s in catalog.semigroups:
         c = complexity(s)
         steps = mu(ThetaMap.GAMMA, s)
@@ -191,36 +194,42 @@ def check_tree(catalog: GenusCatalog) -> str | None:
 
     A semigroup with multiplicity m and complexity c has genus at most
     c(m−1), so the catalog covers the whole (m, c) class whenever
-    c(m−1) ≤ max_genus.  An edge between covered classes must also keep m,
-    add one to the complexity, and lead back to its parent under gamma.
+    c(m−1) ≤ max_genus.  The catalog must hold each semigroup once.  An
+    edge between covered classes must remove only generators of its
+    parent's top block (strictly between (⌊F/m⌋+1)m and (⌊F/m⌋+2)m), keep
+    m, add one to the complexity, and lead back to its parent under gamma.
     """
     gmax = catalog.max_genus
+    if repeated := [s for s, n in Counter(catalog.semigroups).items() if n > 1]:
+        return f"catalog repeats {repeated[0]}"
     by_class: dict[tuple[int, int], list[NumericalSemigroup]] = {}
-    for s in catalog.semigroups:
-        if s.is_whole:
-            continue
-        by_class.setdefault((s.multiplicity, complexity(s)), []).append(s)
+    for s in sorted(catalog.semigroups, key=lambda s: s.min_generators):
+        if not s.is_whole:
+            by_class.setdefault((s.multiplicity, complexity(s)), []).append(s)
     for m in range(2, gmax + 2):
-        c = 1
-        while c * (m - 1) <= gmax:
-            expected = sorted(by_class.get((m, c), []),
-                              key=lambda s: s.min_generators)
-            got = enumerate_semigroups(m, c)
+        # depth k holds complexity k+1, covered while (k+1)(m-1) <= gmax
+        levels = _walk(root(m), child_edges, gmax // (m - 1) - 1, DEFAULT_NODE_CAP)
+        for k, lvl in enumerate(levels):
+            for t, child, removed in lvl if k else ():
+                if fault := _edge_fault(t, child, removed):
+                    return (f"tree edge mismatch at {t} minus {list(removed)}: "
+                            f"child {child} {fault}")
+            got = sorted((s for _, s, _ in lvl), key=lambda s: s.min_generators)
+            expected = by_class.get((m, k + 1), [])
             if got != expected:
-                return (f"tree mismatch at m={m} c={c}: "
+                return (f"tree mismatch at m={m} c={k + 1}: "
                         f"tree={[str(s) for s in got]} "
                         f"catalog={[str(s) for s in expected]}")
-            for t in expected if (c + 1) * (m - 1) <= gmax else ():
-                for child, removed in child_edges(t):
-                    if fault := _edge_fault(t, child):
-                        return (f"tree edge mismatch at {t} minus {list(removed)}: "
-                                f"child {child} {fault}")
-            c += 1
     return None
 
 
-def _edge_fault(t: NumericalSemigroup, child: NumericalSemigroup) -> str | None:
-    if child.multiplicity != t.multiplicity:
+def _edge_fault(t: NumericalSemigroup, child: NumericalSemigroup,
+                removed: tuple[int, ...]) -> str | None:
+    m = t.multiplicity
+    lo = (t.frobenius // m + 1) * m
+    if not all(lo < x < lo + m for x in removed):
+        return f"removes a generator outside ({lo}, {lo + m})"
+    if child.multiplicity != m:
         return f"has multiplicity {child.multiplicity}"
     if complexity(child) != complexity(t) + 1:
         return f"has complexity {complexity(child)}, parent {complexity(t)}"

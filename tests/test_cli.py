@@ -220,9 +220,14 @@ def test_node_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("NUMSGPS_NODE_CAP", "10")
     assert run("enumerate", "-m", "5", "-c", "4") == 2
     assert "cap of 10 nodes" in capsys.readouterr().err
-    monkeypatch.setenv("NUMSGPS_NODE_CAP", "junk")
-    assert run("enumerate", "-m", "5", "-c", "4") == 2
-    assert "NUMSGPS_NODE_CAP" in capsys.readouterr().err
+    for bad in ("junk", "0", "-1"):
+        monkeypatch.setenv("NUMSGPS_NODE_CAP", bad)
+        assert run("enumerate", "-m", "3", "-c", "1") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "NUMSGPS_NODE_CAP" in captured.err
+        assert run("tree-dot", "-m", "3", "--depth", "0") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "NUMSGPS_NODE_CAP" in captured.err
 
 
 def test_console_entry_point():

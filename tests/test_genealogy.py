@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from numsgps.complexity import complexity
@@ -97,6 +99,13 @@ def test_level_zero_and_errors():
         level(5, 3, max_nodes=10)
 
 
+def test_level_cap_counts_the_whole_walk():
+    # G(2) is one column, so depth 9 is one node but the walk builds ten
+    with pytest.raises(LevelTooLarge):
+        level(2, 9, max_nodes=5)
+    assert level(2, 9, max_nodes=10).members == (NumericalSemigroup(2, 21),)
+
+
 def test_enumerate_semigroups():
     got = enumerate_semigroups(3, 4)
     assert {s.min_generators for s in got} == {
@@ -181,6 +190,17 @@ def test_export_dot_shapes():
     assert single.count('";') == 1 and "->" not in single
     with pytest.raises(ValueError):
         export_dot(3, -1)
+
+
+@pytest.mark.parametrize("m, depth, size, edges, sha256", [
+    (5, 4, 21898, 294, "1cfa6fa1a353648165773c546f4711f30152a5e2c0487544e7812c6888a81892"),
+    (6, 3, 44574, 539, "4d28653944a2e09f062ed9b59bd089c6089ea5696444b30de7b78e527faea425"),
+    (4, 5, 9046, 135, "60bdff1dcc3e8e7745fd172ff1cd10beee722e0172bf9812e8ecdde9eecf47bf"),
+])
+def test_export_dot_bytes_are_pinned(m, depth, size, edges, sha256):
+    dot = export_dot(m, depth).encode()
+    assert (len(dot), dot.count(b" -> ")) == (size, edges)
+    assert hashlib.sha256(dot).hexdigest() == sha256
 
 
 def test_export_dot_node_cap():

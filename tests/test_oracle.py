@@ -95,8 +95,8 @@ def test_min_ichain_bfs_guard():
         min_ichain_bfs(from_gaps(range(1, 12)))  # genus 11
 
 
-def test_min_ichain_matches_complexity(catalog8):
-    for s in catalog8.semigroups:
+def test_min_ichain_matches_complexity(catalog10):
+    for s in catalog10.semigroups:
         assert min_ichain_bfs(s) == complexity(s), s
 
 
@@ -160,3 +160,24 @@ def test_check_tree_reports_a_tampered_edge(monkeypatch, parent, real, fake, fau
     removed = dict((c, r) for c, r in genuine_child_edges(parent))[real]
     assert check_tree(enumerate_by_genus(6)) == (
         f"tree edge mismatch at {parent} minus {list(removed)}: child {fake} {fault}")
+
+
+def test_check_tree_reports_a_label_outside_the_top_block(monkeypatch):
+    parent, child = NumericalSemigroup(3, 7, 8), NumericalSemigroup(3, 8, 10)
+
+    def tampered(t):  # (3, 7, 8) minus {7} relabelled as minus {8, 10}
+        return [(c, (8, 10) if t == parent and c == child else r)
+                for c, r in genuine_child_edges(t)]
+
+    monkeypatch.setattr(oracle, "child_edges", tampered)
+    assert check_tree(enumerate_by_genus(6)) == (
+        f"tree edge mismatch at {parent} minus [8, 10]: "
+        f"child {child} removes a generator outside (6, 9)")
+
+
+def test_check_tree_reports_a_repeated_semigroup():
+    cat = enumerate_by_genus(6)
+    twice = NumericalSemigroup(3, 5, 7)
+    tampered = GenusCatalog(6, (*cat.by_genus[:3], (*cat.by_genus[3], twice),
+                                *cat.by_genus[4:]))
+    assert check_tree(tampered) == f"catalog repeats {twice}"
