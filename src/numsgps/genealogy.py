@@ -9,6 +9,12 @@ per edge, so the depth-n level is precisely the set of semigroups with
 multiplicity m and complexity n+1, and walking the tree level by level
 enumerates them all.
 
+The walk runs on Apéry tuples Ap(T, m): removing the generator w_i raises
+w_i by m, so count builds no semigroup objects, level and enumerate build
+only the last level, and export_dot one per node for its literal.
+oracle.check_tree still certifies every edge it walks through child_edges,
+which builds each child with a closure-checked ``without``.
+
 Prepending a copy of m to a semigroup (shift_embed) maps each level
 injectively into the next, which is why the levels never shrink.
 """
@@ -16,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import LevelTooLarge, WholeMonoid
-from .semigroup import NumericalSemigroup, _from_apery, from_gaps
+from .errors import LevelTooLarge, NotASemigroup, WholeMonoid
+from .semigroup import NumericalSemigroup, _from_apery, _sums_in_apery, from_gaps
 
 DEFAULT_NODE_CAP = 10_000_000
 
@@ -45,20 +51,36 @@ def removal_candidates(t: NumericalSemigroup) -> tuple[int, ...]:
     so there are at most m−1 of them; ``oracle.check_tree`` certifies this
     on every edge it walks.
     """
-    if t.is_whole:
+    return _candidates(t._apery)
+
+
+def _candidates(ap):
+    """removal_candidates on Ap(T, m), re-checking its Kunz inequalities."""
+    m = len(ap)
+    if m == 1:
         raise WholeMonoid("the full monoid has no children")
-    threshold = (t.frobenius // t.multiplicity + 1) * t.multiplicity
-    return tuple(x for x in t.min_generators if x > threshold)
+    summed = _sums_in_apery(m, ap)
+    if summed is None:
+        raise NotASemigroup(f"Apéry tuple {ap} breaks a Kunz inequality")
+    top = max(ap) // m * m  # (⌊F/m⌋+1)·m, as F = max w − m
+    return tuple(w for i, w in enumerate(ap) if w > top and i not in summed)
+
+
+def _apery_edges(ap):
+    """child_edges on Ap(T, m): removing w_i raises it by m.
+
+    Doubling the list per candidate keeps the subsets in bit-mask order.
+    """
+    m, edges = len(ap), [(ap, ())]
+    for x in _candidates(ap):
+        i = x % m
+        edges += [(c[:i] + (x + m,) + c[i + 1:], r + (x,)) for c, r in edges]
+    return edges[1:]
 
 
 def child_edges(t: NumericalSemigroup) -> list[tuple[NumericalSemigroup, tuple[int, ...]]]:
     """(child, removed generators) pairs for every nonempty removable subset."""
-    cand = removal_candidates(t)
-    edges = []
-    for mask in range(1, 1 << len(cand)):
-        removed = tuple(cand[i] for i in range(len(cand)) if mask >> i & 1)
-        edges.append((t.without(removed), removed))
-    return edges
+    return [(t.without(r), r) for _, r in _apery_edges(t._apery)]
 
 
 def children(t: NumericalSemigroup) -> list[NumericalSemigroup]:
@@ -66,13 +88,13 @@ def children(t: NumericalSemigroup) -> list[NumericalSemigroup]:
     return [child for child, _ in child_edges(t)]
 
 
-def _walk(first, edges, depth: int, max_nodes: int):
+def _walk(first, edges, depth: int, max_nodes: int, name=None):
     """Breadth-first levels 0..depth of the tree ``edges`` grows from ``first``.
 
     ``edges(t)`` lists t's (child, label) pairs.  Each level is a list of
     (parent, child, label) triples, level 0 being [(None, first, None)].
     Raises LevelTooLarge as soon as the nodes built, ``first`` included,
-    pass ``max_nodes``.
+    pass ``max_nodes``; the message calls the root ``name`` (default ``first``).
     """
     lvl, built = [(None, first, None)], 1
     for _ in range(depth):
@@ -83,10 +105,20 @@ def _walk(first, edges, depth: int, max_nodes: int):
                 nxt.append((t, child, label))
             if built + len(nxt) > max_nodes:
                 raise LevelTooLarge(
-                    f"tree below {first} exceeds the cap of {max_nodes} nodes")
+                    f"tree below {name or first} exceeds the cap of {max_nodes} nodes")
         built += len(nxt)
         lvl = nxt
     yield lvl
+
+
+def _last_level(m, c, max_nodes):
+    """Apéry tuples of class (m, c), the depth c−1 level, in walk order."""
+    if c < 1:
+        raise ValueError("complexity must be at least 1")
+    r = root(m)
+    for lvl in _walk(r._apery, _apery_edges, c - 1, max_nodes, r):
+        pass
+    return [ap for _, ap, _ in lvl]
 
 
 def level(m: int, n: int, max_nodes: int = DEFAULT_NODE_CAP) -> TreeLevel:
@@ -97,23 +129,19 @@ def level(m: int, n: int, max_nodes: int = DEFAULT_NODE_CAP) -> TreeLevel:
     """
     if n < 0:
         raise ValueError("depth must be nonnegative")
-    for lvl in _walk(root(m), child_edges, n, max_nodes):
-        pass
-    return TreeLevel(m, n, tuple(sorted((t for _, t, _ in lvl),
-                                        key=lambda s: s.min_generators)))
+    return TreeLevel(m, n, tuple(enumerate_semigroups(m, n + 1, max_nodes)))
 
 
 def enumerate_semigroups(m: int, c: int,
                          max_nodes: int = DEFAULT_NODE_CAP) -> list[NumericalSemigroup]:
     """All numerical semigroups with multiplicity m and complexity c."""
-    if c < 1:
-        raise ValueError("complexity must be at least 1")
-    return list(level(m, c - 1, max_nodes).members)
+    members = (_from_apery(m, ap) for ap in _last_level(m, c, max_nodes))
+    return sorted(members, key=lambda s: s.min_generators)
 
 
 def count(m: int, c: int, max_nodes: int = DEFAULT_NODE_CAP) -> int:
     """How many semigroups have multiplicity m and complexity c."""
-    return len(enumerate_semigroups(m, c, max_nodes))
+    return len(_last_level(m, c, max_nodes))
 
 
 def shift_embed(s: NumericalSemigroup) -> NumericalSemigroup:
@@ -138,12 +166,13 @@ def export_dot(m: int, max_depth: int, max_nodes: int = DEFAULT_NODE_CAP) -> str
     """
     if max_depth < 0:
         raise ValueError("depth must be nonnegative")
-    nodes, edges = [], []
-    for lvl in _walk(root(m), child_edges, max_depth, max_nodes):
+    nodes, edges, names, r = [], [], {}, root(m)
+    for lvl in _walk(r._apery, _apery_edges, max_depth, max_nodes, r):
         for t, child, removed in lvl:
-            nodes.append(f'  "{child}";')
+            names[child] = name = str(_from_apery(m, child))
+            nodes.append(f'  "{name}";')
             if t is not None:
                 label = "{" + ",".join(str(x) for x in removed) + "}"
-                edges.append(f'  "{t}" -> "{child}" [label="{label}"];')
+                edges.append(f'  "{names[t]}" -> "{name}" [label="{label}"];')
     lines = [f'digraph "G({m})" {{', "  rankdir=TB;", *nodes, *edges, "}"]
     return "\n".join(lines) + "\n"

@@ -94,7 +94,9 @@ class NumericalSemigroup:
         _check_ints(gapset, 1, "gaps must be positive integers")
         if not gapset:
             return WHOLE
-        return _scan(lambda x: x not in gapset, len(gapset))
+        if max(gapset) > MAX_FROBENIUS:
+            raise FrobeniusTooLarge(f"Frobenius number {max(gapset)} exceeds {MAX_FROBENIUS}")
+        return _scan(lambda x: x not in gapset, len(gapset), gapset)
 
     @classmethod
     def parse(cls, text: str) -> "NumericalSemigroup":
@@ -204,7 +206,7 @@ class NumericalSemigroup:
             return self
         m, old = self.multiplicity, self._apery
         member = lambda x: x >= old[x % m] or x in added  # noqa: E731
-        gaps = self.genus - len(added)
+        gaps = self.genus - len(added)  # nonmembers are old gaps, so a witness lies below F
         if min(added) < m:
             return _scan(member, gaps)
         ap = list(old)
@@ -227,12 +229,12 @@ class NumericalSemigroup:
         member = lambda x: x >= old[x % m] and x not in removed  # noqa: E731
         gaps = self.genus + len(removed)
         if m in removed:
-            return _scan(member, gaps)
+            return _scan(member, gaps, removed)
         ap = list(old)
         for x in removed:
             while ap[x % m] in removed:
                 ap[x % m] += m
-        return _from_apery(m, tuple(ap), gaps, member)
+        return _from_apery(m, tuple(ap), gaps, member, removed)
 
     # -- canonical form ----------------------------------------------------
 
@@ -312,25 +314,27 @@ def _round_robin(generators) -> tuple[int, tuple[int, ...]]:
     return m, tuple(ap)
 
 
-def _scan(member, gaps: int) -> NumericalSemigroup:
+def _scan(member, gaps: int, suspects=None) -> NumericalSemigroup:
     """The candidate set ``member`` with ``gaps`` nonmembers, found in O(F + m) tests."""
     m = next(x for x in count(1) if member(x))
     ap = tuple(next(x for x in count(i, m) if member(x)) for i in range(m))
-    return _from_apery(m, ap, gaps, member)
+    return _from_apery(m, ap, gaps, member, suspects)
 
 
-def _from_apery(m, ap, gaps=None, member=None, into=None) -> NumericalSemigroup:
+def _from_apery(m, ap, gaps=None, member=None, suspects=None, into=None) -> NumericalSemigroup:
     """The semigroup with multiplicity m and Apéry set ``ap``, set up in ``into`` if given.
 
     For a candidate set, pass its membership test, its gap count and as
     ``ap`` its least member per class mod m.  It is a semigroup iff the Kunz
     sum counts every gap and the Kunz inequalities hold; if not, NotASemigroup
-    carries the witness a scan over all pairs finds first.
+    carries the witness a scan over all pairs finds first, looking for sums
+    only among ``suspects``, if given, a finite set holding each nonmember
+    that is a sum of two members.
     """
     genus = sum((w - i) // m for i, w in enumerate(ap))
     summed = _sums_in_apery(m, ap)
     if member is not None and (genus != gaps or summed is None):
-        a, b = _witness(m, ap, member, genus == gaps)
+        a, b = _witness(m, ap, member, suspects, genus == gaps)
         raise NotASemigroup(
             f"not closed under addition: {a} + {b} = {a + b} is missing",
             witness=(a, b))
@@ -360,17 +364,18 @@ def _sums_in_apery(m, ap):
     return summed
 
 
-def _witness(m, ap, member, prefix_closed):
+def _witness(m, ap, member, suspects, prefix_closed):
     """The lexicographically first (a, b), a <= b, with a + b a nonmember.
 
     If a class mod m is no up-set, m + y leaves it for a member y >= m, so
-    a = m; else a failing pair still fails with both lowered to Apéry elements.
+    a = m and m + b is the least such sum, counted up from 2m unless the
+    ``suspects`` hold it; else a failing pair still fails with both lowered
+    to Apéry elements.
     """
     if not prefix_closed:
-        b = m
-        while not member(b) or member(m + b):
-            b += 1
-        return m, b
+        sums = count(2 * m) if suspects is None else sorted(suspects)
+        return m, next(x - m for x in sums
+                       if x >= 2 * m and member(x - m) and not member(x))
     for a in sorted(ap[1:]):
         least = [max(w, w - (w - a) // m * m) for w in ap]  # least member >= a, per class
         found = [b for j, b in enumerate(least) if a + b < ap[(a + j) % m]]

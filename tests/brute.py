@@ -1,8 +1,10 @@
 """Self-contained reimplementations the tests use as a second route.
 
 Deliberately naive and written without looking at the package internals:
-a dynamic-programming membership table and a pairwise closure scan.
+a dynamic-programming membership table, a pairwise closure scan and a
+product scan over Kunz coordinates.
 """
+from itertools import product
 
 
 def naive_members(gens, upto):
@@ -50,3 +52,22 @@ def naive_invariants(members, upper):
                 not any(a <= s - mult and is_member(s - a) for a in nonzero))
     genus = frob - len(nonzero)
     return msg, frob, genus, mult
+
+
+def kunz_count(m, c):
+    """How many semigroups have multiplicity m and complexity c.
+
+    Counts the Kunz coordinates (k_1, ..., k_{m-1}) in {1..c}^{m-1} with
+    max c that satisfy k_i + k_j >= k_{i+j} for i + j < m and
+    k_i + k_j + 1 >= k_{i+j-m} for i + j > m.  The coordinates give the
+    Apéry set w_i = k_i·m + i, so all k_i >= 1 fixes the multiplicity at m
+    and the largest k_i is ⌊F/m⌋ + 1, the complexity.
+    """
+    total = 0
+    for k in product(range(1, c + 1), repeat=m - 1):
+        k = (0, *k)
+        total += max(k) == c and all(
+            k[i] + k[j] >= k[i + j] if i + j < m else
+            k[i] + k[j] + 1 >= k[i + j - m]
+            for i in range(1, m) for j in range(i, m) if i + j != m)
+    return total

@@ -1,11 +1,14 @@
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import numsgps
 from numsgps import cli
 from numsgps.genealogy import enumerate_semigroups, export_dot
 from numsgps.oracle import CHECKS
@@ -231,9 +234,12 @@ def test_node_cap_env(capsys, monkeypatch):
 
 
 def test_console_entry_point():
+    # run the package under test, installed or not
+    src = str(Path(numsgps.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "numsgps.cli", "complexity", "<5,7>"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout == "5\n"
 

@@ -2,8 +2,10 @@ import hashlib
 
 import pytest
 
+from brute import kunz_count
+from numsgps import genealogy
 from numsgps.complexity import complexity
-from numsgps.errors import LevelTooLarge, WholeMonoid
+from numsgps.errors import LevelTooLarge, NotASemigroup, WholeMonoid
 from numsgps.genealogy import (TreeLevel, child_edges, children, count,
                                enumerate_semigroups, export_dot, level,
                                removal_candidates, root, shift_embed)
@@ -37,6 +39,17 @@ def test_removal_candidates():
         removal_candidates(WHOLE)
 
 
+def test_removal_candidates_keep_the_generator_rule(catalog10):
+    # the Apéry-tuple rule against the definition on minimal generators
+    for t in catalog10.semigroups:
+        if t.is_whole:
+            continue
+        m = t.multiplicity
+        threshold = (t.frobenius // m + 1) * m
+        assert removal_candidates(t) == tuple(
+            x for x in t.min_generators if x > threshold)
+
+
 def test_candidates_sit_in_one_block(catalog10):
     for t in catalog10.semigroups:
         if t.is_whole:
@@ -46,6 +59,12 @@ def test_candidates_sit_in_one_block(catalog10):
         cand = removal_candidates(t)
         assert len(cand) <= m - 1
         assert all(lo < x < lo + m for x in cand)
+
+
+def test_expanding_a_node_rechecks_its_kunz_inequalities():
+    # (0, 4, 11): w_1 + w_1 = 8 < w_2 = 11, so 4 + 4 would be missing
+    with pytest.raises(NotASemigroup):
+        genealogy._apery_edges((0, 4, 11))
 
 
 def test_children_of_the_ordinary_root():
@@ -129,6 +148,36 @@ def test_count():
     for m in range(2, 7):
         assert count(m, 1) == 1
         assert count(m, 2) == 2 ** (m - 1) - 1  # every nonempty removal works
+
+
+@pytest.mark.parametrize("m, c, expected", [
+    (8, 4, 4463), (6, 5, 785), (7, 4, 1160), (10, 3, 7931),
+    (3, 4, 5), (4, 5, 37), (5, 4, 87), (6, 3, 138), (7, 3, 372),
+])
+def test_count_matches_the_kunz_scan(m, c, expected):
+    # classes beyond the genus-12 catalog, against an independent scan
+    assert count(m, c) == kunz_count(m, c) == expected
+
+
+def test_count_matches_the_kunz_scan_on_small_classes():
+    for m in range(2, 6):
+        for c in range(1, 5):
+            assert count(m, c) == kunz_count(m, c), (m, c)
+
+
+def test_levels_match_a_walk_through_child_edges():
+    for m in range(2, 7):
+        frontier = [root(m)]
+        for depth in range(4):
+            assert level(m, depth).members == tuple(
+                sorted(frontier, key=lambda s: s.min_generators))
+            frontier = [child for t in frontier for child, _ in child_edges(t)]
+
+
+def test_count_honours_the_node_cap():
+    with pytest.raises(LevelTooLarge):
+        count(2, 10, max_nodes=5)
+    assert count(2, 10, max_nodes=10) == 1
 
 
 def test_count_monotone_in_complexity():

@@ -296,6 +296,24 @@ def test_frobenius_guard_fires_before_the_work():
     assert time.process_time() - start < 1.0
 
 
+def test_sparse_nonclosed_inputs_fail_fast():
+    # the witness search looks only at the candidate nonmembers, not at
+    # every integer below them
+    start = time.process_time()
+    with pytest.raises(FrobeniusTooLarge):
+        from_gaps([2**41])
+    with pytest.raises(NotASemigroup) as exc:
+        from_gaps([10**7])
+    assert exc.value.witness == (1, 9999999)
+    with pytest.raises(NotASemigroup) as exc:
+        NumericalSemigroup(3, 5).without([10**7])
+    assert exc.value.witness == (3, 9999997)
+    with pytest.raises(NotASemigroup) as exc:
+        NumericalSemigroup(3, 5).without([3, 10**7])
+    assert exc.value.witness == (5, 9999995)  # the _scan path: m = 3 is removed
+    assert time.process_time() - start < 1.0
+
+
 def test_large_two_generator_semigroup_is_fast():
     start = time.process_time()
     s = NumericalSemigroup(1001, 1003)
