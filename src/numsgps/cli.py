@@ -16,7 +16,7 @@ import sys
 from .complexity import ThetaMap, chain, classify, complexity
 from .errors import SemigroupError
 from .extensions import ideal_extensions
-from .genealogy import DEFAULT_NODE_CAP, enumerate_semigroups, export_dot
+from .genealogy import DEFAULT_NODE_CAP, count, enumerate_semigroups, export_dot
 from .oracle import CHECKS, enumerate_by_genus, pf_gap_search
 from .semigroup import NumericalSemigroup, from_gaps
 
@@ -124,11 +124,11 @@ def cmd_complexity(args, parser) -> int:
 
 
 def cmd_enumerate(args, parser) -> int:
+    if args.count:
+        print(count(args.multiplicity, args.complexity, max_nodes=_node_cap()))
+        return 0
     found = enumerate_semigroups(args.multiplicity, args.complexity,
                                  max_nodes=_node_cap())
-    if args.count:
-        print(len(found))
-        return 0
     if args.json:
         print(json.dumps([list(s.min_generators) for s in found]))
         return 0

@@ -42,3 +42,7 @@ class LevelTooLarge(SemigroupError):
 
 class FrobeniusTooLarge(SemigroupError):
     """The Frobenius number of the requested semigroup exceeds the guard."""
+
+
+class MultiplicityTooLarge(SemigroupError):
+    """The multiplicity of the requested semigroup exceeds the guard."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import LevelTooLarge, NotASemigroup, WholeMonoid
-from .semigroup import NumericalSemigroup, _from_apery, _sums_in_apery, from_gaps
+from .semigroup import NumericalSemigroup, _check_multiplicity, _from_apery, _sums_in_apery
 
 DEFAULT_NODE_CAP = 10_000_000
 
@@ -41,7 +41,8 @@ def root(m: int) -> NumericalSemigroup:
     """The ordinary semigroup {0, m, →}, root of the multiplicity-m tree."""
     if m < 2:
         raise ValueError("multiplicity must be at least 2")
-    return from_gaps(range(1, m))
+    _check_multiplicity(m)
+    return _from_apery(m, (0, *range(m + 1, 2 * m)))
 
 
 def removal_candidates(t: NumericalSemigroup) -> tuple[int, ...]:
@@ -67,15 +68,22 @@ def _candidates(ap):
 
 
 def _apery_edges(ap):
-    """child_edges on Ap(T, m): removing w_i raises it by m.
+    """child_edges on Ap(T, m), one child at a time: removing w_i raises it by m.
 
-    Doubling the list per candidate keeps the subsets in bit-mask order.
+    The Kunz inequalities are checked on the call, before any child exists.
+    Candidate j adds a stage that extends every earlier subset by it, which
+    keeps the subsets in bit-mask order.
     """
-    m, edges = len(ap), [(ap, ())]
-    for x in _candidates(ap):
-        i = x % m
-        edges += [(c[:i] + (x + m,) + c[i + 1:], r + (x,)) for c, r in edges]
-    return edges[1:]
+    m, cands = len(ap), _candidates(ap)
+
+    def stages():
+        edges = [(ap, ())]
+        for x in cands:
+            i = x % m
+            for c, r in edges[:]:
+                edges.append((c[:i] + (x + m,) + c[i + 1:], r + (x,)))
+                yield edges[-1]
+    return stages()
 
 
 def child_edges(t: NumericalSemigroup) -> list[tuple[NumericalSemigroup, tuple[int, ...]]]:
@@ -91,10 +99,10 @@ def children(t: NumericalSemigroup) -> list[NumericalSemigroup]:
 def _walk(first, edges, depth: int, max_nodes: int, name=None):
     """Breadth-first levels 0..depth of the tree ``edges`` grows from ``first``.
 
-    ``edges(t)`` lists t's (child, label) pairs.  Each level is a list of
+    ``edges(t)`` iterates t's (child, label) pairs.  Each level is a list of
     (parent, child, label) triples, level 0 being [(None, first, None)].
-    Raises LevelTooLarge as soon as the nodes built, ``first`` included,
-    pass ``max_nodes``; the message calls the root ``name`` (default ``first``).
+    Raises LevelTooLarge on the first node built, ``first`` included, past
+    ``max_nodes``; the message calls the root ``name`` (default ``first``).
     """
     lvl, built = [(None, first, None)], 1
     for _ in range(depth):
@@ -102,11 +110,11 @@ def _walk(first, edges, depth: int, max_nodes: int, name=None):
         nxt = []
         for _, t, _ in lvl:
             for child, label in edges(t):
+                built += 1
+                if built > max_nodes:
+                    raise LevelTooLarge(
+                        f"tree below {name or first} exceeds the cap of {max_nodes} nodes")
                 nxt.append((t, child, label))
-            if built + len(nxt) > max_nodes:
-                raise LevelTooLarge(
-                    f"tree below {name or first} exceeds the cap of {max_nodes} nodes")
-        built += len(nxt)
         lvl = nxt
     yield lvl
 

@@ -24,6 +24,7 @@ from math import gcd
 from .errors import (
     FrobeniusTooLarge,
     GcdNotOne,
+    MultiplicityTooLarge,
     NotAMember,
     NotASemigroup,
     WholeMonoid,
@@ -32,6 +33,9 @@ from .errors import (
 # Inputs whose Frobenius number would pass this are refused outright;
 # everything downstream is exhaustive and infeasible long before it.
 MAX_FROBENIUS = 1 << 40
+# Ap(S, m) has m entries and the Kunz pass takes O(m²) steps, so a larger
+# multiplicity is refused before either is built.
+MAX_MULTIPLICITY = 4096
 
 
 @dataclass(frozen=True)
@@ -68,13 +72,16 @@ class NumericalSemigroup:
     __slots__ = ("min_generators", "frobenius", "genus", "multiplicity",
                  "_apery", "_pf", "_small", "_gaps")
 
-    def __init__(self, *generators):
+    def __new__(cls, *generators):
         if len(generators) == 1 and not isinstance(generators[0], int):
             generators = tuple(generators[0])
-        _from_apery(*_round_robin(generators), into=self)
+        return _from_apery(*_round_robin(generators))
 
     def __setattr__(self, name, value):
         raise AttributeError("NumericalSemigroup is immutable")
+
+    def __reduce__(self):
+        return NumericalSemigroup, (self.min_generators,)
 
     # -- constructors -------------------------------------------------
 
@@ -92,11 +99,9 @@ class NumericalSemigroup:
         """
         gapset = set(gaps)
         _check_ints(gapset, 1, "gaps must be positive integers")
-        if not gapset:
-            return WHOLE
-        if max(gapset) > MAX_FROBENIUS:
+        if max(gapset, default=0) > MAX_FROBENIUS:
             raise FrobeniusTooLarge(f"Frobenius number {max(gapset)} exceeds {MAX_FROBENIUS}")
-        return _scan(lambda x: x not in gapset, len(gapset), gapset)
+        return WHOLE._edit((), gapset)
 
     @classmethod
     def parse(cls, text: str) -> "NumericalSemigroup":
@@ -201,18 +206,7 @@ class NumericalSemigroup:
         """
         extra = set(extra)
         _check_ints(extra, 0, "adjoined elements must be nonnegative integers")
-        added = {x for x in extra if x not in self}
-        if not added:
-            return self
-        m, old = self.multiplicity, self._apery
-        member = lambda x: x >= old[x % m] or x in added  # noqa: E731
-        gaps = self.genus - len(added)  # nonmembers are old gaps, so a witness lies below F
-        if min(added) < m:
-            return _scan(member, gaps)
-        ap = list(old)
-        for x in added:
-            ap[x % m] = min(ap[x % m], x)
-        return _from_apery(m, tuple(ap), gaps, member)
+        return self._edit({x for x in extra if x not in self}, ())
 
     def without(self, removed) -> "NumericalSemigroup":
         """The semigroup obtained by deleting the nonzero members ``removed``.
@@ -220,21 +214,40 @@ class NumericalSemigroup:
         Raises NotASemigroup if deleting them breaks closure.
         """
         removed = set(removed)
-        if not removed:
-            return self
         for x in removed:
             if isinstance(x, bool) or x not in self or x < 1:
                 raise ValueError(f"can only remove nonzero members, got {x!r}")
+        return self._edit((), removed)
+
+    def _edit(self, plus, minus) -> "NumericalSemigroup":
+        """(S ∪ plus) ∖ minus, for gaps ``plus`` or nonzero members ``minus`` (not both).
+
+        While the multiplicity m stays, Ap(S, m) is updated in place: adding
+        x lowers w_{x mod m} to x, removing w_i raises it by m.  Otherwise
+        the candidate is rescanned once, O(F + m).  Either way _from_apery
+        checks closure.  A missing sum of two members of S lies in ``minus``;
+        with ``minus`` empty every nonmember is a gap of S, so the witness
+        search counts up from 2m and stops below F.
+        """
+        if not plus and not minus:
+            return self
         m, old = self.multiplicity, self._apery
-        member = lambda x: x >= old[x % m] and x not in removed  # noqa: E731
-        gaps = self.genus + len(removed)
-        if m in removed:
-            return _scan(member, gaps, removed)
-        ap = list(old)
-        for x in removed:
-            while ap[x % m] in removed:
-                ap[x % m] += m
-        return _from_apery(m, tuple(ap), gaps, member, removed)
+        if minus:  # one set lookup per test: the rescan runs it O(F + m) times
+            member = lambda x: x not in minus and x >= old[x % m]  # noqa: E731
+        else:
+            member = lambda x: x >= old[x % m] or x in plus  # noqa: E731
+        gaps = self.genus - len(plus) + len(minus)
+        if m in minus or plus and min(plus) < m:  # member() keeps the old m
+            n = next(filter(member, count(1)))
+            ap = [next(filter(member, count(i, n))) for i in range(n)]
+        else:
+            n, ap = m, list(old)
+            for x in plus:
+                ap[x % m] = min(ap[x % m], x)
+            for x in minus:
+                while ap[x % m] in minus:
+                    ap[x % m] += m
+        return _from_apery(n, tuple(ap), gaps, member, minus or None)
 
     # -- canonical form ----------------------------------------------------
 
@@ -283,6 +296,11 @@ def _check_ints(values, least: int, message: str) -> None:
             raise ValueError(f"{message}, got {x!r}")
 
 
+def _check_multiplicity(m: int) -> None:
+    if m > MAX_MULTIPLICITY:
+        raise MultiplicityTooLarge(f"multiplicity {m} exceeds {MAX_MULTIPLICITY}")
+
+
 def _round_robin(generators) -> tuple[int, tuple[int, ...]]:
     """Multiplicity and Apéry set of <generators> in O(k·m) steps, no work growing with F.
 
@@ -295,34 +313,28 @@ def _round_robin(generators) -> tuple[int, tuple[int, ...]]:
     if (d := gcd(*gens)) != 1:
         raise GcdNotOne(f"gcd of generators is {d}, not 1")
     m, inf = gens[0], float("inf")
-    ap = [inf]  # F >= m - 1, so a larger m is refused without building
-    if m - 1 <= MAX_FROBENIUS:
-        ap = [0] + [inf] * (m - 1)
-        for a in gens[1:]:
-            d = gcd(a, m)
-            for r in range(d):  # walk the cycle r, r + a, ... from its least entry
-                n = min(ap[r::d])
-                if n == inf:
-                    continue
-                for _ in range(m // d - 1):
-                    n += a
-                    p = n % m
-                    n = ap[p] = min(n, ap[p])
+    too_large = f"Frobenius number of <{','.join(map(str, gens))}> exceeds {MAX_FROBENIUS}"
+    if m - 1 > MAX_FROBENIUS:  # F >= m - 1
+        raise FrobeniusTooLarge(too_large)
+    _check_multiplicity(m)
+    ap = [0] + [inf] * (m - 1)
+    for a in gens[1:]:
+        d = gcd(a, m)
+        for r in range(d):  # walk the cycle r, r + a, ... from its least entry
+            n = min(ap[r::d])
+            if n == inf:
+                continue
+            for _ in range(m // d - 1):
+                n += a
+                p = n % m
+                n = ap[p] = min(n, ap[p])
     if max(ap) - m > MAX_FROBENIUS:
-        raise FrobeniusTooLarge(
-            f"Frobenius number of <{','.join(map(str, gens))}> exceeds {MAX_FROBENIUS}")
+        raise FrobeniusTooLarge(too_large)
     return m, tuple(ap)
 
 
-def _scan(member, gaps: int, suspects=None) -> NumericalSemigroup:
-    """The candidate set ``member`` with ``gaps`` nonmembers, found in O(F + m) tests."""
-    m = next(x for x in count(1) if member(x))
-    ap = tuple(next(x for x in count(i, m) if member(x)) for i in range(m))
-    return _from_apery(m, ap, gaps, member, suspects)
-
-
-def _from_apery(m, ap, gaps=None, member=None, suspects=None, into=None) -> NumericalSemigroup:
-    """The semigroup with multiplicity m and Apéry set ``ap``, set up in ``into`` if given.
+def _from_apery(m, ap, gaps=None, member=None, suspects=None) -> NumericalSemigroup:
+    """The semigroup with multiplicity m and Apéry set ``ap``; m over MAX_MULTIPLICITY is refused.
 
     For a candidate set, pass its membership test, its gap count and as
     ``ap`` its least member per class mod m.  It is a semigroup iff the Kunz
@@ -331,7 +343,8 @@ def _from_apery(m, ap, gaps=None, member=None, suspects=None, into=None) -> Nume
     only among ``suspects``, if given, a finite set holding each nonmember
     that is a sum of two members.
     """
-    genus = sum((w - i) // m for i, w in enumerate(ap))
+    _check_multiplicity(m)
+    genus = (sum(ap) - m * (m - 1) // 2) // m  # sum of (w_i - i) / m, as w_i ≡ i mod m
     summed = _sums_in_apery(m, ap)
     if member is not None and (genus != gaps or summed is None):
         a, b = _witness(m, ap, member, suspects, genus == gaps)
@@ -339,7 +352,7 @@ def _from_apery(m, ap, gaps=None, member=None, suspects=None, into=None) -> Nume
             f"not closed under addition: {a} + {b} = {a + b} is missing",
             witness=(a, b))
     msg = (m, *sorted(w for i, w in enumerate(ap) if i and i not in summed))
-    s = object.__new__(NumericalSemigroup) if into is None else into
+    s = object.__new__(NumericalSemigroup)
     for name, value in zip(NumericalSemigroup.__slots__,
                            (msg, max(ap) - m, genus, m, ap, None, None, None)):
         object.__setattr__(s, name, value)

@@ -133,6 +133,14 @@ def test_enumerate_text_count_json(capsys):
     assert len(payload) == 5
 
 
+def test_enumerate_count_builds_no_semigroup(capsys, monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("--count must not build the members")
+    monkeypatch.setattr(cli, "enumerate_semigroups", build)
+    assert run("enumerate", "-m", "6", "-c", "4", "--count") == 0
+    assert capsys.readouterr().out == "370\n"
+
+
 def test_enumerate_count_json_conflict(capsys):
     with pytest.raises(SystemExit) as exc:
         run("enumerate", "-m", "3", "-c", "4", "--count", "--json")

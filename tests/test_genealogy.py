@@ -1,4 +1,5 @@
 import hashlib
+import time
 
 import pytest
 
@@ -178,6 +179,17 @@ def test_count_honours_the_node_cap():
     with pytest.raises(LevelTooLarge):
         count(2, 10, max_nodes=5)
     assert count(2, 10, max_nodes=10) == 1
+
+
+@pytest.mark.parametrize("walk", [lambda: count(20, 2, max_nodes=10),
+                                  lambda: export_dot(20, 1, max_nodes=10)],
+                         ids=["count", "export_dot"])
+def test_node_cap_fires_before_the_children_exist(walk):
+    # the root of G(20) has 2^19 - 1 children; the walk stops at its eleventh node
+    start = time.process_time()
+    with pytest.raises(LevelTooLarge):
+        walk()
+    assert time.process_time() - start < 0.05
 
 
 def test_count_monotone_in_complexity():

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from numsgps import oracle
@@ -181,3 +183,10 @@ def test_check_tree_reports_a_repeated_semigroup():
     tampered = GenusCatalog(6, (*cat.by_genus[:3], (*cat.by_genus[3], twice),
                                 *cat.by_genus[4:]))
     assert check_tree(tampered) == f"catalog repeats {twice}"
+
+
+def test_a_catalog_deep_copies(catalog8):
+    # semigroups pickle and copy, so a catalog can cross a process boundary
+    dup = copy.deepcopy(catalog8)
+    assert dup == catalog8 and dup.counts() == catalog8.counts()
+    assert dup.semigroups[5] is not catalog8.semigroups[5]

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import time
 
 import pytest
@@ -5,8 +7,8 @@ import pytest
 from brute import closure_witness, naive_members
 from numsgps import semigroup
 from numsgps.complexity import complexity
-from numsgps.errors import (FrobeniusTooLarge, GcdNotOne, NotAMember,
-                            NotASemigroup, WholeMonoid)
+from numsgps.errors import (FrobeniusTooLarge, GcdNotOne, MultiplicityTooLarge,
+                            NotAMember, NotASemigroup, WholeMonoid)
 from numsgps.semigroup import (WHOLE, AperySet, NumericalSemigroup, from_gaps,
                                from_generators, type_of)
 
@@ -323,3 +325,39 @@ def test_large_two_generator_semigroup_is_fast():
     assert s.pseudo_frobenius() == (f,)
     assert complexity(s) == f // 1001 + 1
     assert time.process_time() - start < 1.0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: NumericalSemigroup(5000, 5001),
+    lambda: from_gaps(range(1, 5000)),
+    lambda: NumericalSemigroup(2 * 10**6, 2 * 10**6 + 1),  # F over the guard too
+], ids=["generators", "gaps", "huge"])
+def test_multiplicity_guard_fires_before_the_kunz_pass(build):
+    # Ap(S, m) has m entries and the Kunz pass m² steps: refuse m first
+    start = time.process_time()
+    with pytest.raises(MultiplicityTooLarge):
+        build()
+    assert time.process_time() - start < 0.1
+
+
+def test_multiplicity_guard_admits_its_bound(monkeypatch):
+    monkeypatch.setattr(semigroup, "MAX_MULTIPLICITY", 50)
+    assert NumericalSemigroup(50, 51).multiplicity == 50
+    assert from_gaps(range(1, 50)).multiplicity == 50
+    for build in (lambda: NumericalSemigroup(51, 52), lambda: from_gaps(range(1, 51)),
+                  lambda: NumericalSemigroup(50, 51).without({50})):  # m goes to 51
+        with pytest.raises(MultiplicityTooLarge):
+            build()
+
+
+def test_pickle_round_trip(catalog10):
+    for s in [*catalog10.semigroups, WHOLE]:
+        t = pickle.loads(pickle.dumps(s))
+        assert t == s and hash(t) == hash(s)
+        assert t._apery == s._apery and t.genus == s.genus
+
+
+def test_copies_are_equal():
+    s = NumericalSemigroup(5, 6, 8, 9)
+    assert copy.copy(s) == s and copy.deepcopy(s) == s
+    assert copy.deepcopy({s: [s]}) == {s: [s]}
