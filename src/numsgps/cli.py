@@ -144,6 +144,8 @@ def cmd_tree_dot(args, parser) -> int:
 
 def cmd_verify(args, parser) -> int:
     names = [n.strip() for n in args.checks.split(",") if n.strip()]
+    if not names:
+        parser.error(f"no check given; choose from {','.join(CHECKS)}")
     for name in names:
         if name not in CHECKS:
             parser.error(f"unknown check {name!r}; choose from {','.join(CHECKS)}")

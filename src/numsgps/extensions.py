@@ -8,16 +8,18 @@ S ∪ A is itself a semigroup exactly when A is *pertinent*: any sum of
 two of its members that misses S (such a sum is always another
 pseudo-Frobenius number) must fall back into A.  Enumerating the
 pertinent subsets of PF(S) therefore enumerates all extensions; there
-are at most 2^t of them, t the type of S.
+are at most 2^t of them, t the type of S.  They are built directly,
+deciding PF(S) in ascending order, so the work follows the number of
+extensions rather than 2^t.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import TypeTooLarge, WholeMonoid
-from .semigroup import WHOLE, NumericalSemigroup
+from .semigroup import NumericalSemigroup
 
-# pertinent_sets walks all 2^t subsets of PF(S); refuse absurd types
+# pertinent_sets may return up to 2^t subsets of PF(S); refuse absurd types
 MAX_TYPE = 25
 
 
@@ -43,33 +45,26 @@ def is_pertinent(s: NumericalSemigroup, a) -> bool:
         raise WholeMonoid("pertinence is undefined for the full monoid")
     a = set(a)
     pf = set(s.pseudo_frobenius())
-    return a <= pf and _closed(tuple(a), pf)
-
-
-def _closed(subset: tuple[int, ...], pf: set[int]) -> bool:
-    """No sum of two elements of subset lands in pf outside subset."""
-    chosen = set(subset)
-    for i, x in enumerate(subset):
-        for y in subset[i:]:
-            if x + y in pf and x + y not in chosen:
-                return False
-    return True
+    return a <= pf and all(x + y in a for x in a for y in a if x + y in pf)
 
 
 def pertinent_sets(s: NumericalSemigroup) -> list[PertinentSet]:
-    """All pertinent subsets of PF(s), sorted by size then lexicographically."""
+    """All pertinent subsets of PF(s), sorted by size then lexicographically.
+
+    Built by the ascending rule: take PF(s) in increasing order; a member
+    that is the sum of two chosen members (or twice one) is forced in, any
+    other may go either way.  Each choice only constrains larger members,
+    so every subset built is pertinent and none is built twice.
+    """
     if s.is_whole:
         raise WholeMonoid("pertinence is undefined for the full monoid")
     pf = s.pseudo_frobenius()
     t = len(pf)
     if t > MAX_TYPE:
         raise TypeTooLarge(f"type {t} exceeds the 2^{MAX_TYPE} enumeration guard")
-    pfset = set(pf)
-    found = []
-    for mask in range(1 << t):
-        subset = tuple(pf[i] for i in range(t) if mask >> i & 1)
-        if _closed(subset, pfset):
-            found.append(subset)
+    found = [()]
+    for x in pf:
+        found = [a + (x,) for a in found] + [a for a in found if not any(x - y in a for y in a)]
     found.sort(key=lambda ms: (len(ms), ms))
     return [PertinentSet(s, ms) for ms in found]
 

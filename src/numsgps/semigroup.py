@@ -168,14 +168,12 @@ class NumericalSemigroup:
 
     def apery_set(self, n: int) -> AperySet:
         """The least member of each residue class mod n, for a nonzero member n."""
-        if n <= 0 or n not in self:
+        if isinstance(n, bool) or n <= 0 or n not in self:
             raise NotAMember(f"{n} is not a nonzero member of {self}")
         if n == self.multiplicity:
             return AperySet(n, self._apery)
-        least: dict[int, int] = {}
-        for x in self.elements(self.frobenius + n):  # each class has a member <= F + n
-            least.setdefault(x % n, x)
-        return AperySet(n, tuple(least[i] for i in range(n)))
+        _check_multiplicity(n)
+        return AperySet(n, _apery_mod(n, self.min_generators))
 
     def pseudo_frobenius(self) -> tuple[int, ...]:
         """The gaps x with x + s a member for every nonzero member s.
@@ -302,35 +300,43 @@ def _check_multiplicity(m: int) -> None:
 
 
 def _round_robin(generators) -> tuple[int, tuple[int, ...]]:
-    """Multiplicity and Apéry set of <generators> in O(k·m) steps, no work growing with F.
-
-    The round-robin algorithm of Böcker and Lipták (Algorithmica, 2007).
-    """
+    """Multiplicity and Apéry set of <generators> in O(k·m) steps, no work growing with F."""
     _check_ints(generators, 1, "generators must be positive integers")
     gens = sorted(set(generators))
     if not gens:
         raise ValueError("at least one generator is required")
     if (d := gcd(*gens)) != 1:
         raise GcdNotOne(f"gcd of generators is {d}, not 1")
-    m, inf = gens[0], float("inf")
+    m = gens[0]
     too_large = f"Frobenius number of <{','.join(map(str, gens))}> exceeds {MAX_FROBENIUS}"
     if m - 1 > MAX_FROBENIUS:  # F >= m - 1
         raise FrobeniusTooLarge(too_large)
     _check_multiplicity(m)
-    ap = [0] + [inf] * (m - 1)
-    for a in gens[1:]:
-        d = gcd(a, m)
-        for r in range(d):  # walk the cycle r, r + a, ... from its least entry
-            n = min(ap[r::d])
-            if n == inf:
-                continue
-            for _ in range(m // d - 1):
-                n += a
-                p = n % m
-                n = ap[p] = min(n, ap[p])
+    ap = _apery_mod(m, gens[1:])
     if max(ap) - m > MAX_FROBENIUS:
         raise FrobeniusTooLarge(too_large)
-    return m, tuple(ap)
+    return m, ap
+
+
+def _apery_mod(n, generators) -> tuple[int, ...]:
+    """Ap(S, n) for a member n of S = <generators>, in O(k·n) steps.
+
+    The round-robin algorithm of Böcker and Lipták (Algorithmica, 2007);
+    n need not be a generator, nor the least one.
+    """
+    inf = float("inf")
+    ap = [0] + [inf] * (n - 1)
+    for a in generators:
+        d = gcd(a, n)
+        for r in range(d):  # walk the cycle r, r + a, ... from its least entry
+            x = min(ap[r::d])
+            if x == inf:
+                continue
+            for _ in range(n // d - 1):
+                x += a
+                p = x % n
+                x = ap[p] = min(x, ap[p])
+    return tuple(ap)
 
 
 def _from_apery(m, ap, gaps=None, member=None, suspects=None) -> NumericalSemigroup:

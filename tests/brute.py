@@ -1,10 +1,10 @@
 """Self-contained reimplementations the tests use as a second route.
 
 Deliberately naive and written without looking at the package internals:
-a dynamic-programming membership table, a pairwise closure scan and a
-product scan over Kunz coordinates.
+a dynamic-programming membership table, a pairwise closure scan, a filter
+over all subsets of PF(S) and a product scan over Kunz coordinates.
 """
-from itertools import product
+from itertools import combinations, product
 
 
 def naive_members(gens, upto):
@@ -29,6 +29,18 @@ def closure_witness(members, bound):
             if a + b not in members:
                 return (a, b)
     return None
+
+
+def naive_pertinent_sets(pf):
+    """Every subset A of ``pf`` closed under sums that land in ``pf``.
+
+    All 2^t subsets are tried, by size and then lexicographically, each
+    with a pairwise test (a pair may repeat a member).
+    """
+    pf = sorted(pf)
+    pfset = set(pf)
+    return [a for r in range(len(pf) + 1) for a in combinations(pf, r)
+            if all(x + y in a for i, x in enumerate(a) for y in a[i:] if x + y in pfset)]
 
 
 def naive_invariants(members, upper):

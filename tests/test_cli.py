@@ -198,9 +198,10 @@ def test_verify_failure_json(capsys, monkeypatch):
 
 
 def test_verify_unknown_check(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run("verify", "--checks", "pf,bogus")
-    assert exc.value.code == 2
+    for checks in ("pf,bogus", ",", ""):  # an empty list would certify nothing
+        with pytest.raises(SystemExit) as exc:
+            run("verify", "--checks", checks)
+        assert exc.value.code == 2
 
 
 def test_search_pf_gap(capsys):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from numsgps.errors import TypeTooLarge, WholeMonoid
@@ -80,6 +82,15 @@ def test_type_guard():
     big = from_gaps(range(1, 27))  # ordinary with type 26
     with pytest.raises(TypeTooLarge):
         pertinent_sets(big)
+
+
+def test_pertinent_sets_cost_follows_the_output():
+    # type 19: 2616 pertinent sets out of 2^19 subsets; building them by
+    # the ascending rule never visits the other subsets
+    start = time.process_time()
+    found = pertinent_sets(NumericalSemigroup(*range(20, 40)))
+    assert len(found) == 2616
+    assert time.process_time() - start < 0.5
 
 
 def test_is_ideal_extension():

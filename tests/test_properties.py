@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import closure_witness, naive_invariants, naive_members
+from brute import closure_witness, naive_invariants, naive_members, naive_pertinent_sets
 from numsgps.errors import NotASemigroup
+from numsgps.extensions import ideal_extensions, pertinent_sets
+from numsgps.oracle import extensions_bruteforce
 from numsgps.semigroup import NumericalSemigroup, from_gaps
 
 # a few seconds in all; construction times vary too much on a shared host for a deadline
@@ -126,3 +128,21 @@ def test_without_matches_naive_closure(s, data):
     with pytest.raises(NotASemigroup) as exc:
         s.without(removed)
     assert exc.value.witness == witness
+
+
+@st.composite
+def high_type_semigroups(draw):
+    """Multiplicity m <= 13, so type <= 12; generators in (m, 2m] raise the type."""
+    m = draw(st.integers(2, 13))
+    gens = [m, *draw(st.sets(st.integers(m + 1, 2 * m), min_size=1)),
+            *draw(st.lists(st.integers(2 * m + 1, 3 * m), max_size=3))]
+    return NumericalSemigroup(gens if gcd(*gens) == 1 else [*gens, m + 1])
+
+
+@SETTINGS
+@given(high_type_semigroups())
+def test_pertinent_sets_match_the_subset_filter(s):
+    pf = s.pseudo_frobenius()
+    assert [p.members for p in pertinent_sets(s)] == naive_pertinent_sets(pf)
+    if len(pf) <= 8:
+        assert ideal_extensions(s) == extensions_bruteforce(s)

@@ -100,6 +100,25 @@ def test_apery_set_requires_nonzero_member():
             s.apery_set(bad)
 
 
+def test_apery_set_matches_naive_members(catalog8):
+    for s in catalog8.semigroups:
+        f = s.frobenius
+        members = naive_members(s.min_generators, 2 * (f + s.multiplicity))
+        for n in range(1, f + s.multiplicity + 1):
+            if n in members:
+                least = [min(x for x in members if x % n == i) for i in range(n)]
+                assert s.apery_set(n).elements == tuple(least), (s, n)
+
+
+def test_apery_set_bounds_its_modulus():
+    start = time.process_time()
+    with pytest.raises(MultiplicityTooLarge):
+        NumericalSemigroup(2, 3).apery_set(10**6)
+    assert time.process_time() - start < 0.1
+    with pytest.raises(NotAMember):
+        WHOLE.apery_set(True)
+
+
 def test_apery_invariants(catalog8):
     for s in catalog8.semigroups:
         if s.is_whole:
