@@ -10,10 +10,12 @@ multiplicity m and complexity n+1, and walking the tree level by level
 enumerates them all.
 
 The walk runs on Apéry tuples Ap(T, m): removing the generator w_i raises
-w_i by m, so count builds no semigroup objects, level and enumerate build
-only the last level, and export_dot one per node for its literal.
-oracle.check_tree still certifies every edge it walks through child_edges,
-which builds each child with a closure-checked ``without``.
+w_i by m, so count builds no semigroup objects and level and enumerate
+build only the last level.  export_dot builds one per node without a Kunz
+pass; deriving the node's literal runs the one pass, and its removable
+generators come from the same result.  oracle.check_tree still certifies
+every edge it walks through child_edges, which builds each child with a
+closure-checked ``without``.
 
 Prepending a copy of m to a semigroup (shift_embed) maps each level
 injectively into the next, which is why the levels never shrink.
@@ -52,7 +54,10 @@ def removal_candidates(t: NumericalSemigroup) -> tuple[int, ...]:
     so there are at most m−1 of them; ``oracle.check_tree`` certifies this
     on every edge it walks.
     """
-    return _candidates(t._apery)
+    if t.is_whole:
+        raise WholeMonoid("the full monoid has no children")
+    top = (t.frobenius // t.multiplicity + 1) * t.multiplicity
+    return tuple(x for x in t.min_generators if x > top)
 
 
 def _candidates(ap):
@@ -67,14 +72,16 @@ def _candidates(ap):
     return tuple(w for i, w in enumerate(ap) if w > top and i not in summed)
 
 
-def _apery_edges(ap):
+def _apery_edges(ap, cands=None):
     """child_edges on Ap(T, m), one child at a time: removing w_i raises it by m.
 
-    The Kunz inequalities are checked on the call, before any child exists.
+    Without ``cands``, the removable generators in ascending order, the
+    Kunz inequalities are checked on the call, before any child exists.
     Candidate j adds a stage that extends every earlier subset by it, which
     keeps the subsets in bit-mask order.
     """
-    m, cands = len(ap), _candidates(ap)
+    m = len(ap)
+    cands = _candidates(ap) if cands is None else cands
 
     def stages():
         edges = [(ap, ())]
@@ -174,10 +181,14 @@ def export_dot(m: int, max_depth: int, max_nodes: int = DEFAULT_NODE_CAP) -> str
     """
     if max_depth < 0:
         raise ValueError("depth must be nonnegative")
-    nodes, edges, names, r = [], [], {}, root(m)
-    for lvl in _walk(r._apery, _apery_edges, max_depth, max_nodes, r):
+    def grow(t):  # naming t derived its generators, so the candidates cost no pass
+        for ap, removed in _apery_edges(t._apery, removal_candidates(t)):
+            yield _from_apery(m, ap), removed
+
+    nodes, edges, names = [], [], {}
+    for lvl in _walk(root(m), grow, max_depth, max_nodes):
         for t, child, removed in lvl:
-            names[child] = name = str(_from_apery(m, child))
+            names[child] = name = str(child)
             nodes.append(f'  "{name}";')
             if t is not None:
                 label = "{" + ",".join(str(x) for x in removed) + "}"

@@ -12,8 +12,13 @@ Ap(S, m) = (w_0, ..., w_{m-1}), w_i the least member ≡ i mod m.  Then x is
 a member iff x >= w_{x mod m}, F = max w - m, the genus is the sum of the
 Kunz coordinates (w_i - i)/m, and the minimal generators are m and the w_i
 that are no sum of two nonzero w_j.  Closure is the Kunz inequalities
-w_i + w_j >= w_{(i+j) mod m}, O(m²) to check however large F is.  Equal
-minimal generating sets make equal instances.
+w_i + w_j >= w_{(i+j) mod m}, O(m²) to check however large F is.
+
+Ap(S, m) is the identity of an instance: equality and hashing compare it.
+Only an edit that may break closure runs the Kunz pass; a construction
+closed by proof (the round robin, a gamma clamp, a tree node) does not, and
+its minimal generators are derived from Ap(S, m) on first use, like the
+pseudo-Frobenius numbers, the small elements and the gaps.
 """
 from __future__ import annotations
 
@@ -69,7 +74,7 @@ class NumericalSemigroup:
     multiplicity : int, smallest nonzero member
     """
 
-    __slots__ = ("min_generators", "frobenius", "genus", "multiplicity",
+    __slots__ = ("_msg", "frobenius", "genus", "multiplicity",
                  "_apery", "_pf", "_small", "_gaps")
 
     def __new__(cls, *generators):
@@ -120,6 +125,14 @@ class NumericalSemigroup:
         return cls(gens)
 
     # -- membership ----------------------------------------------------
+
+    @property
+    def min_generators(self) -> tuple[int, ...]:
+        """The unique minimal generating set, derived on first use by one Kunz pass."""
+        if self._msg is None:
+            m, ap = self.multiplicity, self._apery
+            object.__setattr__(self, "_msg", _generators(m, ap, _sums_in_apery(m, ap)))
+        return self._msg
 
     def __contains__(self, x) -> bool:
         return isinstance(x, int) and x >= 0 and x >= self._apery[x % self.multiplicity]
@@ -221,20 +234,35 @@ class NumericalSemigroup:
         """(S ∪ plus) ∖ minus, for gaps ``plus`` or nonzero members ``minus`` (not both).
 
         While the multiplicity m stays, Ap(S, m) is updated in place: adding
-        x lowers w_{x mod m} to x, removing w_i raises it by m.  Otherwise
-        the candidate is rescanned once, O(F + m).  Either way _from_apery
-        checks closure.  A missing sum of two members of S lies in ``minus``;
-        with ``minus`` empty every nonmember is a gap of S, so the witness
-        search counts up from 2m and stops below F.
+        x lowers w_{x mod m} to x, removing w_i raises it by m, and
+        _from_apery checks closure.  Removing m alone leaves the semigroup
+        generated by the other minimal generators g, 2m, 3m and m + g; adding
+        some x < m gives a semigroup iff <S ∪ plus> has the expected genus.
+        Both take the round robin modulo the new multiplicity, O(m²), the
+        latter only once F ≥ m²: below that the rescan is the cheaper.  Any
+        other change of m, and a failed adjoin, rescan the candidate in
+        O(F + m) for the witness.  A missing sum of two members of S lies
+        in ``minus``; with ``minus`` empty every nonmember is a gap of S, so
+        the witness search counts up from 2m and stops below F.
         """
         if not plus and not minus:
             return self
         m, old = self.multiplicity, self._apery
+        gaps = self.genus - len(plus) + len(minus)
+        if minus == {m} or plus and min(plus) < m and self.frobenius >= m * m:
+            rest = self.min_generators[1:]
+            gens = [*rest, 2 * m, 3 * m, *(m + g for g in rest)] if minus else [m, *rest, *plus]
+            n = min(gens)
+            _check_multiplicity(n)
+            # the least generator per class mod n; the others are it plus multiples of n
+            least = {g % n: g for g in sorted(gens, reverse=True)}
+            t = _from_apery(n, _apery_mod(n, least.values()))
+            if t.genus == gaps:
+                return t
         if minus:  # one set lookup per test: the rescan runs it O(F + m) times
             member = lambda x: x not in minus and x >= old[x % m]  # noqa: E731
         else:
             member = lambda x: x >= old[x % m] or x in plus  # noqa: E731
-        gaps = self.genus - len(plus) + len(minus)
         if m in minus or plus and min(plus) < m:  # member() keeps the old m
             n = next(filter(member, count(1)))
             ap = [next(filter(member, count(i, n))) for i in range(n)]
@@ -252,10 +280,10 @@ class NumericalSemigroup:
     def __eq__(self, other) -> bool:
         if not isinstance(other, NumericalSemigroup):
             return NotImplemented
-        return self.min_generators == other.min_generators
+        return self._apery == other._apery
 
     def __hash__(self) -> int:
-        return hash(self.min_generators)
+        return hash(self._apery)
 
     def __str__(self) -> str:
         return "<" + ",".join(str(g) for g in self.min_generators) + ">"
@@ -342,27 +370,37 @@ def _apery_mod(n, generators) -> tuple[int, ...]:
 def _from_apery(m, ap, gaps=None, member=None, suspects=None) -> NumericalSemigroup:
     """The semigroup with multiplicity m and Apéry set ``ap``; m over MAX_MULTIPLICITY is refused.
 
-    For a candidate set, pass its membership test, its gap count and as
-    ``ap`` its least member per class mod m.  It is a semigroup iff the Kunz
-    sum counts every gap and the Kunz inequalities hold; if not, NotASemigroup
-    carries the witness a scan over all pairs finds first, looking for sums
-    only among ``suspects``, if given, a finite set holding each nonmember
-    that is a sum of two members.
+    Without ``member`` the caller vouches that ``ap`` is the Apéry set of a
+    semigroup, and no Kunz pass runs.  For a candidate set, pass its
+    membership test, its gap count and as ``ap`` its least member per class
+    mod m.  It is a semigroup iff the Kunz sum counts every gap and the
+    Kunz inequalities hold; if not, NotASemigroup carries the witness a
+    scan over all pairs finds first, looking for sums only among
+    ``suspects``, if given, a finite set holding each nonmember that is a
+    sum of two members.  The pass that checks a candidate also yields its
+    minimal generators.
     """
     _check_multiplicity(m)
     genus = (sum(ap) - m * (m - 1) // 2) // m  # sum of (w_i - i) / m, as w_i ≡ i mod m
-    summed = _sums_in_apery(m, ap)
-    if member is not None and (genus != gaps or summed is None):
-        a, b = _witness(m, ap, member, suspects, genus == gaps)
-        raise NotASemigroup(
-            f"not closed under addition: {a} + {b} = {a + b} is missing",
-            witness=(a, b))
-    msg = (m, *sorted(w for i, w in enumerate(ap) if i and i not in summed))
+    msg = None
+    if member is not None:
+        summed = _sums_in_apery(m, ap)
+        if genus != gaps or summed is None:
+            a, b = _witness(m, ap, member, suspects, genus == gaps)
+            raise NotASemigroup(
+                f"not closed under addition: {a} + {b} = {a + b} is missing",
+                witness=(a, b))
+        msg = _generators(m, ap, summed)
     s = object.__new__(NumericalSemigroup)
     for name, value in zip(NumericalSemigroup.__slots__,
                            (msg, max(ap) - m, genus, m, ap, None, None, None)):
         object.__setattr__(s, name, value)
     return s
+
+
+def _generators(m, ap, summed) -> tuple[int, ...]:
+    """m and the w_i, i nonzero, whose residue is not in ``summed``, ascending."""
+    return (m, *sorted(w for i, w in enumerate(ap) if i and i not in summed))
 
 
 def _sums_in_apery(m, ap):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -259,3 +260,38 @@ def test_node_cap_applies_to_tree_dot(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "cap of 5 nodes" in captured.err
+
+
+# sha256 of stdout, as printed before semigroups were compared on Ap(S, m):
+# the hash change must not reorder any output
+GOLDEN = [
+    ("info <5,6,8,9>", "632672de22af90ac629a43abf46afb272c8fdb4315da06d13ca4987576ab8e53"),
+    ("info <5,6,8,9> --json", "2ebe1cc512794a04d1aeed14ed75029c7cc1f37c63e345ab783f3578892d15dd"),
+    ("extensions <5,6,8,9>", "c4da554dae4b43dc3d422b880301bc8af267fe945cfe9e88c41a1867320bd183"),
+    ("extensions <5,6,8,9> --json",
+     "4a7c0624fbe83d34d3bc96bb065d50966b08a6c6ae6ac2c3723a1f22b64cf80d"),
+    ("chain <5,7>", "c056b3e1d406ebc5aa9ab96094ddaa0b637f408f0d009d481f0251a0a968ea1a"),
+    ("chain <5,7> --json", "c5e4780c87c6a1c470210b876db631843709085a2865ed0affc6b4e1bb45c207"),
+    ("chain --theta pf <4,6,9,11>",
+     "7951f310ba31f701103127493b55da0fb93a598f2c1d48cf047d13cdab4e4f58"),
+    ("chain --theta pf <4,6,9,11> --json",
+     "d425526be6be9eb0ab9251b8cb6223adf6aea4e8b2933381bf90d0edc838701f"),
+    ("enumerate -m 6 -c 4 --count",
+     "1128e21c6f4fbe8d60954f40b65239c00c2c58f1dc17c7995f108623001892e1"),
+    ("enumerate -m 6 -c 4", "e9573198cfab1dd8a6dd3957a4529e204fb9b4276b78706122aef49cc8f5ff71"),
+    ("enumerate -m 6 -c 4 --json",
+     "be52010cfce4a899606faaab0a61dd82278bcadbad3f1c7fa8ff579019e8fdae"),
+    ("verify --max-genus 8", "f9bde779bd4a35f56f099596c79c7a4db9b8f3b93ef9505360038bed91d30911"),
+    ("verify --max-genus 8 --json",
+     "f149c754e0c675919ca4888e84be3a1d31b495b2637bec4e49f5761db47a225c"),
+    ("search-pf-gap --max-genus 8",
+     "df8865449e718da2196a0d6b2af21a610bef4bd714442d29e3a8476388b9bfc1"),
+    ("search-pf-gap --max-genus 8 --json",
+     "7e4701ac97fba47269343e6da661cb35387fc90d4c5cf47d7b292316ad1ba794"),
+]
+
+
+@pytest.mark.parametrize("argv, sha256", GOLDEN, ids=[argv for argv, _ in GOLDEN])
+def test_output_bytes_are_pinned(capsys, argv, sha256):
+    assert run(*argv.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256

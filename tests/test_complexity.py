@@ -5,6 +5,7 @@ from numsgps.complexity import (Classification, IChain, ThetaMap, chain,
                                 validate_chain)
 from numsgps.errors import WholeMonoid
 from numsgps.extensions import is_pertinent
+from numsgps import semigroup
 from numsgps.semigroup import WHOLE, NumericalSemigroup, from_gaps
 
 S57 = NumericalSemigroup(5, 7)
@@ -179,3 +180,14 @@ def test_ichain_is_a_value_type():
     assert list(c) == list(c.links)
     with pytest.raises(AttributeError):
         c.links = ()
+
+
+def test_gamma_chain_runs_no_kunz_pass(monkeypatch):
+    # each link is a clamp of the Kunz coordinates, closed by proof
+    s = NumericalSemigroup(1001, 1003)
+    calls = []
+    monkeypatch.setattr(semigroup, "_sums_in_apery", lambda *a: calls.append(a))
+    links = chain(ThetaMap.GAMMA, s).links
+    assert len(links) - 1 == complexity(s) == 1001
+    assert calls == []
+    assert links[-1] is WHOLE and all(t.multiplicity == 1001 for t in links[:-1])

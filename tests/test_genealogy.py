@@ -4,7 +4,7 @@ import time
 import pytest
 
 from brute import kunz_count
-from numsgps import genealogy
+from numsgps import genealogy, semigroup
 from numsgps.complexity import complexity
 from numsgps.errors import LevelTooLarge, NotASemigroup, WholeMonoid
 from numsgps.genealogy import (TreeLevel, child_edges, children, count,
@@ -49,6 +49,7 @@ def test_removal_candidates_keep_the_generator_rule(catalog10):
         threshold = (t.frobenius // m + 1) * m
         assert removal_candidates(t) == tuple(
             x for x in t.min_generators if x > threshold)
+        assert genealogy._candidates(t._apery) == removal_candidates(t)
 
 
 def test_candidates_sit_in_one_block(catalog10):
@@ -262,6 +263,20 @@ def test_export_dot_bytes_are_pinned(m, depth, size, edges, sha256):
     dot = export_dot(m, depth).encode()
     assert (len(dot), dot.count(b" -> ")) == (size, edges)
     assert hashlib.sha256(dot).hexdigest() == sha256
+
+
+def test_export_dot_runs_one_kunz_pass_per_node(monkeypatch):
+    # naming a node derives its generators; expanding it reuses them
+    calls = []
+
+    def counted(m, ap):
+        calls.append(ap)
+        return sums(m, ap)
+    sums = semigroup._sums_in_apery
+    monkeypatch.setattr(semigroup, "_sums_in_apery", counted)
+    monkeypatch.setattr(genealogy, "_sums_in_apery", counted)
+    dot = export_dot(5, 4)
+    assert len(calls) == dot.count('";') == 295
 
 
 def test_export_dot_node_cap():

@@ -1,4 +1,5 @@
 """Property tests: the Apéry-set core against the naive routes in brute.py."""
+import pickle
 from math import gcd
 
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute import closure_witness, naive_invariants, naive_members, naive_pertinent_sets
+from numsgps.complexity import ThetaMap, chain, theta_apply
 from numsgps.errors import NotASemigroup
 from numsgps.extensions import ideal_extensions, pertinent_sets
+from numsgps.genealogy import root, shift_embed
 from numsgps.oracle import extensions_bruteforce
 from numsgps.semigroup import NumericalSemigroup, from_gaps
 
@@ -146,3 +149,53 @@ def test_pertinent_sets_match_the_subset_filter(s):
     assert [p.members for p in pertinent_sets(s)] == naive_pertinent_sets(pf)
     if len(pf) <= 8:
         assert ideal_extensions(s) == extensions_bruteforce(s)
+
+
+def same_semigroup(trusted, checked):
+    """A construction without a Kunz pass against a closure-checked one."""
+    assert trusted._apery == checked._apery
+    assert trusted.min_generators == checked.min_generators
+
+
+@SETTINGS
+@given(semigroups())
+def test_gamma_clamp_matches_the_checked_adjoin(s):
+    links = chain(ThetaMap.GAMMA, s).links
+    for t, up in zip(links, links[1:]):
+        same_semigroup(up, t.adjoin(theta_apply(ThetaMap.GAMMA, t)))
+
+
+@SETTINGS
+@given(semigroups(), st.integers(2, 60))
+def test_shift_embed_and_root_match_checked_routes(s, m):
+    n, f = s.multiplicity, s.frobenius
+    # ({n}+S) ∪ {0}: a positive x is a member iff x - n is
+    same_semigroup(shift_embed(s), from_gaps(x for x in range(1, f + n + 1) if x - n not in s))
+    same_semigroup(root(m), from_gaps(range(1, m)))
+
+
+@SETTINGS
+@given(semigroups())
+def test_removing_the_multiplicity_matches_naive_closure(s):
+    m = s.multiplicity
+    top = s.frobenius + 3 * m
+    members = {x for x in range(top + 1) if x in s} - {m}
+    t = s.without({m})
+    assert set(t.gaps) == set(s.gaps) | {m}
+    assert t.min_generators == naive_invariants(members, top)[0]
+
+
+@SETTINGS
+@given(semigroups(), st.data())
+def test_identity_is_the_apery_set(a, data):
+    route = data.draw(st.sampled_from(["gaps", "redundant", "other"]))
+    if route == "gaps":
+        b = from_gaps(a.gaps)
+    elif route == "redundant":
+        b = NumericalSemigroup(*a.min_generators, sum(a.min_generators[:2]))
+    else:
+        b = data.draw(semigroups())
+    same = a._apery == b._apery
+    assert same == (a.min_generators == b.min_generators) == (a == b) == (hash(a) == hash(b))
+    c = pickle.loads(pickle.dumps(b))
+    assert c == b and hash(c) == hash(b) and c.min_generators == b.min_generators
