@@ -25,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import LevelTooLarge, NotASemigroup, WholeMonoid
-from .semigroup import NumericalSemigroup, _check_multiplicity, _from_apery, _sums_in_apery
+from .semigroup import (NumericalSemigroup, _check_multiplicity, _from_apery, _generators,
+                        _sums_in_apery)
 
 DEFAULT_NODE_CAP = 10_000_000
 
@@ -54,34 +55,36 @@ def removal_candidates(t: NumericalSemigroup) -> tuple[int, ...]:
     so there are at most m−1 of them; ``oracle.check_tree`` certifies this
     on every edge it walks.
     """
-    if t.is_whole:
-        raise WholeMonoid("the full monoid has no children")
-    top = (t.frobenius // t.multiplicity + 1) * t.multiplicity
-    return tuple(x for x in t.min_generators if x > top)
+    return _candidates(t._apery, t.min_generators)
 
 
-def _candidates(ap):
-    """removal_candidates on Ap(T, m), re-checking its Kunz inequalities."""
+def _candidates(ap, msg=None):
+    """removal_candidates on Ap(T, m), given T's minimal generators ``msg``.
+
+    Without ``msg`` they come from a Kunz pass that re-checks the Kunz
+    inequalities of ``ap``.
+    """
     m = len(ap)
     if m == 1:
         raise WholeMonoid("the full monoid has no children")
-    summed = _sums_in_apery(m, ap)
-    if summed is None:
-        raise NotASemigroup(f"Apéry tuple {ap} breaks a Kunz inequality")
+    if msg is None:
+        summed = _sums_in_apery(m, ap)
+        if summed is None:
+            raise NotASemigroup(f"Apéry tuple {ap} breaks a Kunz inequality")
+        msg = _generators(m, ap, summed)
     top = max(ap) // m * m  # (⌊F/m⌋+1)·m, as F = max w − m
-    return tuple(w for i, w in enumerate(ap) if w > top and i not in summed)
+    return tuple(x for x in msg if x > top)
 
 
-def _apery_edges(ap, cands=None):
+def _apery_edges(ap, msg=None):
     """child_edges on Ap(T, m), one child at a time: removing w_i raises it by m.
 
-    Without ``cands``, the removable generators in ascending order, the
-    Kunz inequalities are checked on the call, before any child exists.
-    Candidate j adds a stage that extends every earlier subset by it, which
-    keeps the subsets in bit-mask order.
+    The removable generators come from ``_candidates(ap, msg)``, so without
+    ``msg`` the Kunz inequalities are checked on the call, before any child
+    exists.  Candidate j adds a stage that extends every earlier subset by
+    it, which keeps the subsets in bit-mask order.
     """
-    m = len(ap)
-    cands = _candidates(ap) if cands is None else cands
+    m, cands = len(ap), _candidates(ap, msg)
 
     def stages():
         edges = [(ap, ())]
@@ -181,8 +184,8 @@ def export_dot(m: int, max_depth: int, max_nodes: int = DEFAULT_NODE_CAP) -> str
     """
     if max_depth < 0:
         raise ValueError("depth must be nonnegative")
-    def grow(t):  # naming t derived its generators, so the candidates cost no pass
-        for ap, removed in _apery_edges(t._apery, removal_candidates(t)):
+    def grow(t):  # naming t derived its generators, so its candidates cost no pass
+        for ap, removed in _apery_edges(t._apery, t.min_generators):
             yield _from_apery(m, ap), removed
 
     nodes, edges, names = [], [], {}

@@ -236,33 +236,28 @@ class NumericalSemigroup:
         While the multiplicity m stays, Ap(S, m) is updated in place: adding
         x lowers w_{x mod m} to x, removing w_i raises it by m, and
         _from_apery checks closure.  Removing m alone leaves the semigroup
-        generated by the other minimal generators g, 2m, 3m and m + g; adding
-        some x < m gives a semigroup iff <S ∪ plus> has the expected genus.
-        Both take the round robin modulo the new multiplicity, O(m²), the
-        latter only once F ≥ m²: below that the rescan is the cheaper.  Any
-        other change of m, and a failed adjoin, rescan the candidate in
-        O(F + m) for the witness.  A missing sum of two members of S lies
-        in ``minus``; with ``minus`` empty every nonmember is a gap of S, so
-        the witness search counts up from 2m and stops below F.
+        generated by the other minimal generators g, 2m, 3m and m + g, built
+        by the round robin modulo the new multiplicity.  Any other change of
+        m rescans the candidate once, O(F + m).  A missing sum of two members
+        of S lies in ``minus``; with ``minus`` empty every nonmember is a gap
+        of S, so the witness search counts up from 2m and stops below F.
         """
         if not plus and not minus:
             return self
         m, old = self.multiplicity, self._apery
-        gaps = self.genus - len(plus) + len(minus)
-        if minus == {m} or plus and min(plus) < m and self.frobenius >= m * m:
+        if minus == {m}:
             rest = self.min_generators[1:]
-            gens = [*rest, 2 * m, 3 * m, *(m + g for g in rest)] if minus else [m, *rest, *plus]
+            gens = [*rest, 2 * m, 3 * m, *(m + g for g in rest)]
             n = min(gens)
             _check_multiplicity(n)
             # the least generator per class mod n; the others are it plus multiples of n
             least = {g % n: g for g in sorted(gens, reverse=True)}
-            t = _from_apery(n, _apery_mod(n, least.values()))
-            if t.genus == gaps:
-                return t
+            return _from_apery(n, _apery_mod(n, least.values()))
         if minus:  # one set lookup per test: the rescan runs it O(F + m) times
             member = lambda x: x not in minus and x >= old[x % m]  # noqa: E731
         else:
             member = lambda x: x >= old[x % m] or x in plus  # noqa: E731
+        gaps = self.genus - len(plus) + len(minus)
         if m in minus or plus and min(plus) < m:  # member() keeps the old m
             n = next(filter(member, count(1)))
             ap = [next(filter(member, count(i, n))) for i in range(n)]

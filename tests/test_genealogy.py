@@ -49,7 +49,6 @@ def test_removal_candidates_keep_the_generator_rule(catalog10):
         threshold = (t.frobenius // m + 1) * m
         assert removal_candidates(t) == tuple(
             x for x in t.min_generators if x > threshold)
-        assert genealogy._candidates(t._apery) == removal_candidates(t)
 
 
 def test_candidates_sit_in_one_block(catalog10):

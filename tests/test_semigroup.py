@@ -382,15 +382,12 @@ def test_copies_are_equal():
     assert copy.deepcopy({s: [s]}) == {s: [s]}
 
 
-def test_multiplicity_changes_need_no_rescan(monkeypatch):
-    # removing m, or adjoining below m, takes the round robin modulo the new
-    # multiplicity; only a failed edit counts through the candidate
+def test_removing_the_multiplicity_needs_no_rescan(monkeypatch):
+    # without({m}) takes the round robin modulo the new multiplicity
     def rescan(*args):
         raise AssertionError("rescanned")
     monkeypatch.setattr(semigroup, "count", rescan)
     assert NumericalSemigroup(3, 10**6 + 1).without({3}).min_generators == (
         6, 9, 10**6 + 1, 10**6 + 4)
     assert NumericalSemigroup(400, 401).without({400}).min_generators == (401, 800, 801, 1200)
-    assert NumericalSemigroup(4, 6, 10**6 + 1, 10**6 + 3).adjoin({2}).min_generators == (
-        2, 10**6 + 1)
     assert WHOLE.without({1}) == NumericalSemigroup(2, 3)
