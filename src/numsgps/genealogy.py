@@ -25,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import LevelTooLarge, NotASemigroup, WholeMonoid
-from .semigroup import (NumericalSemigroup, _check_multiplicity, _from_apery, _generators,
-                        _sums_in_apery)
+from .semigroup import NumericalSemigroup, _check_multiplicity, _from_apery, _sums_in_apery
 
 DEFAULT_NODE_CAP = 10_000_000
 
@@ -59,21 +58,22 @@ def removal_candidates(t: NumericalSemigroup) -> tuple[int, ...]:
 
 
 def _candidates(ap, msg=None):
-    """removal_candidates on Ap(T, m), given T's minimal generators ``msg``.
+    """removal_candidates on Ap(T, m): the minimal generators above (⌊F/m⌋+1)·m.
 
-    Without ``msg`` they come from a Kunz pass that re-checks the Kunz
-    inequalities of ``ap``.
+    Given T's minimal generators ``msg``, they are read off it; without, a
+    Kunz pass re-checks the Kunz inequalities of ``ap`` and names the w_i
+    that are sums, and so no generator.
     """
     m = len(ap)
     if m == 1:
         raise WholeMonoid("the full monoid has no children")
-    if msg is None:
-        summed = _sums_in_apery(m, ap)
-        if summed is None:
-            raise NotASemigroup(f"Apéry tuple {ap} breaks a Kunz inequality")
-        msg = _generators(m, ap, summed)
     top = max(ap) // m * m  # (⌊F/m⌋+1)·m, as F = max w − m
-    return tuple(x for x in msg if x > top)
+    if msg is not None:
+        return tuple(x for x in msg if x > top)
+    summed = _sums_in_apery(m, ap)
+    if summed is None:
+        raise NotASemigroup(f"Apéry tuple {ap} breaks a Kunz inequality")
+    return tuple(w for i, w in enumerate(ap) if w > top and i not in summed)
 
 
 def _apery_edges(ap, msg=None):
