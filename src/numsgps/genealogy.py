@@ -10,12 +10,13 @@ multiplicity m and complexity n+1, and walking the tree level by level
 enumerates them all.
 
 The walk runs on Apéry tuples Ap(T, m): removing the generator w_i raises
-w_i by m, so count builds no semigroup objects and level and enumerate
-build only the last level.  export_dot builds one per node without a Kunz
-pass; deriving the node's literal runs the one pass, and its removable
-generators come from the same result.  oracle.check_tree still certifies
+w_i by m, so count and export_dot build no semigroup object past the root,
+and level and enumerate build only the last level.  export_dot derives each
+node's minimal generators by one Kunz pass, names the node by them and
+reads its removable generators off them.  oracle.check_tree still certifies
 every edge it walks through child_edges, which builds each child with a
-closure-checked ``without``.
+closure-checked ``without`` and reads the removable generators off the
+parent's minimal generators.
 
 Prepending a copy of m to a semigroup (shift_embed) maps each level
 injectively into the next, which is why the levels never shrink.
@@ -25,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import LevelTooLarge, NotASemigroup, WholeMonoid
-from .semigroup import NumericalSemigroup, _check_multiplicity, _from_apery, _sums_in_apery
+from .semigroup import (NumericalSemigroup, _check_multiplicity, _from_apery, _generators,
+                        _sums_in_apery)
 
 DEFAULT_NODE_CAP = 10_000_000
 
@@ -98,7 +100,7 @@ def _apery_edges(ap, msg=None):
 
 def child_edges(t: NumericalSemigroup) -> list[tuple[NumericalSemigroup, tuple[int, ...]]]:
     """(child, removed generators) pairs for every nonempty removable subset."""
-    return [(t.without(r), r) for _, r in _apery_edges(t._apery)]
+    return [(t.without(r), r) for _, r in _apery_edges(t._apery, t.min_generators)]
 
 
 def children(t: NumericalSemigroup) -> list[NumericalSemigroup]:
@@ -171,8 +173,7 @@ def shift_embed(s: NumericalSemigroup) -> NumericalSemigroup:
     if s.is_whole:
         raise WholeMonoid("the full monoid has no shift embedding")
     m = s.multiplicity
-    ap = s.apery_set(m).elements
-    return _from_apery(m, (0, *(w + m for w in ap[1:])))
+    return _from_apery(m, (0, *(w + m for w in s._apery[1:])))
 
 
 def export_dot(m: int, max_depth: int, max_nodes: int = DEFAULT_NODE_CAP) -> str:
@@ -184,14 +185,12 @@ def export_dot(m: int, max_depth: int, max_nodes: int = DEFAULT_NODE_CAP) -> str
     """
     if max_depth < 0:
         raise ValueError("depth must be nonnegative")
-    def grow(t):  # naming t derived its generators, so its candidates cost no pass
-        for ap, removed in _apery_edges(t._apery, t.min_generators):
-            yield _from_apery(m, ap), removed
-
-    nodes, edges, names = [], [], {}
-    for lvl in _walk(root(m), grow, max_depth, max_nodes):
-        for t, child, removed in lvl:
-            names[child] = name = str(child)
+    nodes, edges, gens, names, r = [], [], {}, {}, root(m)
+    # a level's generators are derived as it is yielded, before the walk expands it
+    for lvl in _walk(r._apery, lambda ap: _apery_edges(ap, gens[ap]), max_depth, max_nodes, r):
+        for t, ap, removed in lvl:
+            gens[ap] = msg = _generators(m, ap, _sums_in_apery(m, ap))
+            names[ap] = name = "<" + ",".join(str(g) for g in msg) + ">"
             nodes.append(f'  "{name}";')
             if t is not None:
                 label = "{" + ",".join(str(x) for x in removed) + "}"

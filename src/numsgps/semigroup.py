@@ -15,10 +15,12 @@ that are no sum of two nonzero w_j.  Closure is the Kunz inequalities
 w_i + w_j >= w_{(i+j) mod m}, O(m²) to check however large F is.
 
 Ap(S, m) is the identity of an instance: equality and hashing compare it.
-Only an edit that may break closure runs the Kunz pass; a construction
-closed by proof (the round robin, a gamma clamp, a tree node) does not, and
-its minimal generators are derived from Ap(S, m) on first use, like the
-pseudo-Frobenius numbers, the small elements and the gaps.
+Building and checking are apart.  _from_apery only builds, from an Apéry
+set closed by proof (the round robin, a gamma clamp, a tree node), and runs
+no Kunz pass; such an instance derives its minimal generators from Ap(S, m)
+on first use, like the pseudo-Frobenius numbers, the small elements and the
+gaps.  _edit, behind from_gaps, adjoin and without, is the one place that
+checks a candidate, and keeps the minimal generators its Kunz pass yields.
 """
 from __future__ import annotations
 
@@ -233,14 +235,21 @@ class NumericalSemigroup:
     def _edit(self, plus, minus) -> "NumericalSemigroup":
         """(S ∪ plus) ∖ minus, for gaps ``plus`` or nonzero members ``minus`` (not both).
 
-        While the multiplicity m stays, Ap(S, m) is updated in place: adding
-        x lowers w_{x mod m} to x, removing w_i raises it by m, and
-        _from_apery checks closure.  Removing m alone leaves the semigroup
-        generated by the other minimal generators g, 2m, 3m and m + g, built
-        by the round robin modulo the new multiplicity.  Any other change of
-        m rescans the candidate once, O(F + m).  A missing sum of two members
-        of S lies in ``minus``; with ``minus`` empty every nonmember is a gap
-        of S, so the witness search counts up from 2m and stops below F.
+        The one place a candidate is checked.  While the multiplicity m
+        stays, Ap(S, m) is updated in place: adding x lowers w_{x mod m} to
+        x, removing w_i raises it by m.  Removing m alone leaves the
+        semigroup generated by the other minimal generators g, 2m, 3m and
+        m + g, built by the round robin modulo the new multiplicity.  Any
+        other change of m rescans the candidate once, O(F + m), and refuses
+        a multiplicity over MAX_MULTIPLICITY as soon as it finds it.
+
+        The candidate, its least member per class, is a semigroup iff its
+        Kunz sum counts every gap and the Kunz inequalities hold; the pass
+        that checks them also yields its minimal generators.  If not,
+        NotASemigroup carries the witness a scan over all pairs finds first.
+        A missing sum of two members of S lies in ``minus``; with ``minus``
+        empty every nonmember is a gap of S, so the witness search counts up
+        from 2m and stops below F.
         """
         if not plus and not minus:
             return self
@@ -257,9 +266,9 @@ class NumericalSemigroup:
             member = lambda x: x not in minus and x >= old[x % m]  # noqa: E731
         else:
             member = lambda x: x >= old[x % m] or x in plus  # noqa: E731
-        gaps = self.genus - len(plus) + len(minus)
         if m in minus or plus and min(plus) < m:  # member() keeps the old m
             n = next(filter(member, count(1)))
+            _check_multiplicity(n)
             ap = [next(filter(member, count(i, n))) for i in range(n)]
         else:
             n, ap = m, list(old)
@@ -268,7 +277,16 @@ class NumericalSemigroup:
             for x in minus:
                 while ap[x % m] in minus:
                     ap[x % m] += m
-        return _from_apery(n, tuple(ap), gaps, member, minus or None)
+        ap = tuple(ap)
+        s = _from_apery(n, ap)
+        gaps = self.genus - len(plus) + len(minus)
+        if s.genus != gaps or (summed := _sums_in_apery(n, ap)) is None:
+            a, b = _witness(n, ap, member, minus or None, s.genus == gaps)
+            raise NotASemigroup(
+                f"not closed under addition: {a} + {b} = {a + b} is missing",
+                witness=(a, b))
+        object.__setattr__(s, "_msg", _generators(n, ap, summed))
+        return s
 
     # -- canonical form ----------------------------------------------------
 
@@ -362,33 +380,17 @@ def _apery_mod(n, generators) -> tuple[int, ...]:
     return tuple(ap)
 
 
-def _from_apery(m, ap, gaps=None, member=None, suspects=None) -> NumericalSemigroup:
-    """The semigroup with multiplicity m and Apéry set ``ap``; m over MAX_MULTIPLICITY is refused.
+def _from_apery(m, ap) -> NumericalSemigroup:
+    """The semigroup with multiplicity m and Apéry set ``ap``, built as given.
 
-    Without ``member`` the caller vouches that ``ap`` is the Apéry set of a
-    semigroup, and no Kunz pass runs.  For a candidate set, pass its
-    membership test, its gap count and as ``ap`` its least member per class
-    mod m.  It is a semigroup iff the Kunz sum counts every gap and the
-    Kunz inequalities hold; if not, NotASemigroup carries the witness a
-    scan over all pairs finds first, looking for sums only among
-    ``suspects``, if given, a finite set holding each nonmember that is a
-    sum of two members.  The pass that checks a candidate also yields its
-    minimal generators.
+    It only builds: the caller vouches that ``ap`` is Ap(S, m) of a
+    semigroup S and that m passed _check_multiplicity.  No Kunz pass runs;
+    the minimal generators are derived on first use.
     """
-    _check_multiplicity(m)
     genus = (sum(ap) - m * (m - 1) // 2) // m  # sum of (w_i - i) / m, as w_i ≡ i mod m
-    msg = None
-    if member is not None:
-        summed = _sums_in_apery(m, ap)
-        if genus != gaps or summed is None:
-            a, b = _witness(m, ap, member, suspects, genus == gaps)
-            raise NotASemigroup(
-                f"not closed under addition: {a} + {b} = {a + b} is missing",
-                witness=(a, b))
-        msg = _generators(m, ap, summed)
     s = object.__new__(NumericalSemigroup)
     for name, value in zip(NumericalSemigroup.__slots__,
-                           (msg, max(ap) - m, genus, m, ap, None, None, None)):
+                           (None, max(ap) - m, genus, m, ap, None, None, None)):
         object.__setattr__(s, name, value)
     return s
 

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -252,6 +253,28 @@ def test_console_entry_point():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout == "5\n"
+
+
+def test_library_has_no_assert_statement():
+    # python -O strips asserts, so no check may live in one
+    package = Path(numsgps.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        asserts = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+        assert not asserts, (path.name, asserts)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["info", "--gaps", "1,2,6"], "error: not closed under addition: 3 + 3 = 6 is missing"),
+    (["info", "<5000,5001>"], "error: multiplicity 5000 exceeds 4096"),
+], ids=["not-a-semigroup", "multiplicity-too-large"])
+def test_guards_fire_under_python_O(argv, message):
+    src = str(Path(numsgps.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "numsgps.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message + "\n")
 
 
 def test_node_cap_applies_to_tree_dot(capsys, monkeypatch):

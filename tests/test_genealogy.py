@@ -1,4 +1,5 @@
 import hashlib
+import re
 import time
 
 import pytest
@@ -276,6 +277,57 @@ def test_export_dot_runs_one_kunz_pass_per_node(monkeypatch):
     monkeypatch.setattr(genealogy, "_sums_in_apery", counted)
     dot = export_dot(5, 4)
     assert len(calls) == dot.count('";') == 295
+
+
+def test_export_dot_builds_only_the_root(monkeypatch):
+    # the walk runs on Apéry tuples; only root() builds a semigroup
+    built = []
+
+    def counted(m, ap):
+        built.append(ap)
+        return build(m, ap)
+    build = genealogy._from_apery
+    monkeypatch.setattr(genealogy, "_from_apery", counted)
+    dot = export_dot(5, 4)
+    assert len(built) == 1 and dot.count('";') == 295
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_export_dot_matches_level_and_child_edges(m):
+    node = re.compile(r'  "(<[\d,]+>)";')
+    edge = re.compile(r'  "(<[\d,]+>)" -> "(<[\d,]+>)" \[label="\{([\d,]+)\}"\];')
+    for max_depth in range(4):
+        lines = export_dot(m, max_depth).splitlines()
+        names = [node.fullmatch(line)[1] for line in lines if node.fullmatch(line)]
+        depth, kids = {str(root(m)): 0}, {}
+        for line in lines:
+            if found := edge.fullmatch(line):
+                parent, child, label = found.groups()
+                if parent not in kids:
+                    t = NumericalSemigroup.parse(parent)
+                    kids[parent] = {str(c): r for c, r in child_edges(t)}
+                assert kids[parent][child] == tuple(map(int, label.split(",")))
+                depth[child] = depth[parent] + 1
+        assert len(depth) == len(names) == len(set(names))
+        for k in range(max_depth + 1):
+            assert sorted(x for x in names if depth[x] == k) == sorted(
+                str(s) for s in level(m, k).members), (m, max_depth, k)
+
+
+def test_child_edges_reads_the_parent_generators(monkeypatch):
+    # t was built by a checked without, so it holds its generators:
+    # the only Kunz passes are the ones that check each child
+    t = root(4).without({5, 6, 7})
+    calls = []
+
+    def counted(m, ap):
+        calls.append(ap)
+        return sums(m, ap)
+    sums = semigroup._sums_in_apery
+    monkeypatch.setattr(semigroup, "_sums_in_apery", counted)
+    monkeypatch.setattr(genealogy, "_sums_in_apery", counted)
+    edges = child_edges(t)
+    assert len(edges) == 7 and len(calls) == len(edges)
 
 
 def test_export_dot_node_cap():

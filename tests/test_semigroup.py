@@ -391,3 +391,17 @@ def test_removing_the_multiplicity_needs_no_rescan(monkeypatch):
         6, 9, 10**6 + 1, 10**6 + 4)
     assert NumericalSemigroup(400, 401).without({400}).min_generators == (401, 800, 801, 1200)
     assert WHOLE.without({1}) == NumericalSemigroup(2, 3)
+
+
+def test_multiplicity_guard_fires_before_the_rescan(monkeypatch):
+    # one count() call finds the new multiplicity 5001; no class is scanned after it
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return scan(*args)
+    scan = semigroup.count
+    monkeypatch.setattr(semigroup, "count", counted)
+    with pytest.raises(MultiplicityTooLarge):
+        from_gaps(range(1, 5001))
+    assert calls == [(1,)]
