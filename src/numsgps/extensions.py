@@ -11,13 +11,19 @@ pertinent subsets of PF(S) therefore enumerates all extensions; there
 are at most 2^t of them, t the type of S.  They are built directly,
 deciding PF(S) in ascending order, so the work follows the number of
 extensions rather than 2^t.
+
+Pertinence proves S ∪ A closed, so ideal_extensions builds each one
+without a closure check (_extend): above the multiplicity it lowers the
+Apéry set in place and reads the minimal generators off those of S, with
+no Kunz pass.  A PertinentSet may be built by hand with any members, so
+its extension() keeps the closure-checked adjoin.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import TypeTooLarge, WholeMonoid
-from .semigroup import NumericalSemigroup
+from .semigroup import NumericalSemigroup, _from_apery, _least_members
 
 # pertinent_sets may return up to 2^t subsets of PF(S); refuse absurd types
 MAX_TYPE = 25
@@ -76,11 +82,39 @@ def ideal_extensions(s: NumericalSemigroup, proper: bool = False) -> list[Numeri
     descending then msg lexicographic, so s comes first and the largest
     extension s ∪ PF(s) last.
     """
-    out = [p.extension() for p in pertinent_sets(s)]
+    out = [_extend(s, p.members) for p in pertinent_sets(s)]
     if proper:
         out = [d for d in out if d != s]
     out.sort(key=lambda d: (-d.genus, d.min_generators))
     return out
+
+
+def _extend(s: NumericalSemigroup, a) -> NumericalSemigroup:
+    """S ∪ A for a pertinent A ⊆ PF(S), built without a closure check.
+
+    If min A < m, min A is the new multiplicity: rescan per class, and
+    derive the minimal generators on first use.  Else each x in A lowers
+    w_{x mod m} from x + m to x, in O(|A|).  A generator g of S stays
+    minimal unless g - x is a nonzero member of S ∪ A for some x in A, and
+    x in A is minimal unless x is in A + A: for y in PF(S), y + s in S∖{0}
+    lies in S for every nonzero s in S, so x = y + s would put x in S.
+    That is O(e·|A| + |A|²), e the embedding dimension of S.
+    """
+    if not a:
+        return s
+    m, old = s.multiplicity, s._apery
+    n = min(a)
+    if n < m:
+        plus = set(a)
+        return _from_apery(n, tuple(_least_members(n, lambda x: x >= old[x % m] or x in plus)))
+    ap = list(old)
+    for x in a:
+        ap[x % m] = x
+    msg = [g for g in s.min_generators
+           if not any(g > x and g - x >= ap[(g - x) % m] for x in a)]
+    sums = {x + y for x in a for y in a}
+    msg += (x for x in a if x not in sums)
+    return _from_apery(m, tuple(ap), tuple(sorted(msg)))
 
 
 def is_ideal_extension(s: NumericalSemigroup, delta: NumericalSemigroup) -> bool:

@@ -16,11 +16,15 @@ w_i + w_j >= w_{(i+j) mod m}, O(m²) to check however large F is.
 
 Ap(S, m) is the identity of an instance: equality and hashing compare it.
 Building and checking are apart.  _from_apery only builds, from an Apéry
-set closed by proof (the round robin, a gamma clamp, a tree node), and runs
-no Kunz pass; such an instance derives its minimal generators from Ap(S, m)
-on first use, like the pseudo-Frobenius numbers, the small elements and the
-gaps.  _edit, behind from_gaps, adjoin and without, is the one place that
-checks a candidate, and keeps the minimal generators its Kunz pass yields.
+set closed by proof (the round robin, a gamma clamp, a tree node, an ideal
+extension), and runs no Kunz pass.  A build that knows the minimal
+generators keeps them: the round robin keeps the generators it uses, which
+for NumericalSemigroup(*gens) and without({m}) are exactly the minimal ones,
+and an ideal extension above m reads them off those of S.  Any other
+instance derives them from Ap(S, m) on first use, like the pseudo-Frobenius
+numbers, the small elements and the gaps.  _edit, behind from_gaps, adjoin
+and without, is the one place that checks a candidate, and keeps the
+minimal generators its Kunz pass yields.
 """
 from __future__ import annotations
 
@@ -130,7 +134,7 @@ class NumericalSemigroup:
 
     @property
     def min_generators(self) -> tuple[int, ...]:
-        """The unique minimal generating set, derived on first use by one Kunz pass."""
+        """The unique minimal generating set: kept by the build, else derived by one Kunz pass."""
         if self._msg is None:
             m, ap = self.multiplicity, self._apery
             object.__setattr__(self, "_msg", _generators(m, ap, _sums_in_apery(m, ap)))
@@ -188,7 +192,7 @@ class NumericalSemigroup:
         if n == self.multiplicity:
             return AperySet(n, self._apery)
         _check_multiplicity(n)
-        return AperySet(n, _apery_mod(n, self.min_generators))
+        return AperySet(n, _apery_mod(n, self.min_generators)[0])
 
     def pseudo_frobenius(self) -> tuple[int, ...]:
         """The gaps x with x + s a member for every nonzero member s.
@@ -239,9 +243,10 @@ class NumericalSemigroup:
         stays, Ap(S, m) is updated in place: adding x lowers w_{x mod m} to
         x, removing w_i raises it by m.  Removing m alone leaves the
         semigroup generated by the other minimal generators g, 2m, 3m and
-        m + g, built by the round robin modulo the new multiplicity.  Any
-        other change of m rescans the candidate once, O(F + m), and refuses
-        a multiplicity over MAX_MULTIPLICITY as soon as it finds it.
+        m + g, built by the round robin modulo the new multiplicity, which
+        also yields its minimal generators.  Any other change of m rescans
+        the candidate once, O(F + m), and refuses a multiplicity over
+        MAX_MULTIPLICITY as soon as it finds it.
 
         The candidate, its least member per class, is a semigroup iff its
         Kunz sum counts every gap and the Kunz inequalities hold; the pass
@@ -256,12 +261,10 @@ class NumericalSemigroup:
         m, old = self.multiplicity, self._apery
         if minus == {m}:
             rest = self.min_generators[1:]
-            gens = [*rest, 2 * m, 3 * m, *(m + g for g in rest)]
-            n = min(gens)
+            n, *gens = sorted([*rest, 2 * m, 3 * m, *(m + g for g in rest)])
             _check_multiplicity(n)
-            # the least generator per class mod n; the others are it plus multiples of n
-            least = {g % n: g for g in sorted(gens, reverse=True)}
-            return _from_apery(n, _apery_mod(n, least.values()))
+            ap, kept = _apery_mod(n, gens)
+            return _from_apery(n, ap, (n, *kept))
         if minus:  # one set lookup per test: the rescan runs it O(F + m) times
             member = lambda x: x not in minus and x >= old[x % m]  # noqa: E731
         else:
@@ -269,7 +272,7 @@ class NumericalSemigroup:
         if m in minus or plus and min(plus) < m:  # member() keeps the old m
             n = next(filter(member, count(1)))
             _check_multiplicity(n)
-            ap = [next(filter(member, count(i, n))) for i in range(n)]
+            ap = _least_members(n, member)
         else:
             n, ap = m, list(old)
             for x in plus:
@@ -340,8 +343,8 @@ def _check_multiplicity(m: int) -> None:
         raise MultiplicityTooLarge(f"multiplicity {m} exceeds {MAX_MULTIPLICITY}")
 
 
-def _round_robin(generators) -> tuple[int, tuple[int, ...]]:
-    """Multiplicity and Apéry set of <generators> in O(k·m) steps, no work growing with F."""
+def _round_robin(generators) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Multiplicity, Apéry set and minimal generators of <generators>, in O(k·m) steps."""
     _check_ints(generators, 1, "generators must be positive integers")
     gens = sorted(set(generators))
     if not gens:
@@ -353,21 +356,28 @@ def _round_robin(generators) -> tuple[int, tuple[int, ...]]:
     if m - 1 > MAX_FROBENIUS:  # F >= m - 1
         raise FrobeniusTooLarge(too_large)
     _check_multiplicity(m)
-    ap = _apery_mod(m, gens[1:])
+    ap, kept = _apery_mod(m, gens[1:])
     if max(ap) - m > MAX_FROBENIUS:
         raise FrobeniusTooLarge(too_large)
-    return m, ap
+    return m, ap, (m, *kept)
 
 
-def _apery_mod(n, generators) -> tuple[int, ...]:
-    """Ap(S, n) for a member n of S = <generators>, in O(k·n) steps.
+def _apery_mod(n, generators) -> tuple[tuple[int, ...], list[int]]:
+    """Ap(S, n) for a member n of S = <generators>, in O(k·n) steps, and the generators used.
 
     The round-robin algorithm of Böcker and Lipták (Algorithmica, 2007);
-    n need not be a generator, nor the least one.
+    n need not be a generator, nor the least one.  A generator a with
+    a >= w_{a mod n} is already a member of the semigroup built so far, so
+    it is skipped.  Fed in ascending order after the least generator n, the
+    generators kept are then exactly the minimal ones other than n.
     """
     inf = float("inf")
     ap = [0] + [inf] * (n - 1)
+    kept = []
     for a in generators:
+        if a >= ap[a % n]:
+            continue
+        kept.append(a)
         d = gcd(a, n)
         for r in range(d):  # walk the cycle r, r + a, ... from its least entry
             x = min(ap[r::d])
@@ -377,20 +387,26 @@ def _apery_mod(n, generators) -> tuple[int, ...]:
                 x += a
                 p = x % n
                 x = ap[p] = min(x, ap[p])
-    return tuple(ap)
+    return tuple(ap), kept
 
 
-def _from_apery(m, ap) -> NumericalSemigroup:
+def _least_members(n, member) -> list[int]:
+    """The least x >= 0 with member(x) in each class mod n, n the least nonzero one: O(F + n)."""
+    return [next(filter(member, count(i, n))) for i in range(n)]
+
+
+def _from_apery(m, ap, msg=None) -> NumericalSemigroup:
     """The semigroup with multiplicity m and Apéry set ``ap``, built as given.
 
     It only builds: the caller vouches that ``ap`` is Ap(S, m) of a
-    semigroup S and that m passed _check_multiplicity.  No Kunz pass runs;
-    the minimal generators are derived on first use.
+    semigroup S, that m passed _check_multiplicity and that ``msg``, if
+    given, are its minimal generators in ascending order.  No Kunz pass
+    runs; without ``msg`` the minimal generators are derived on first use.
     """
     genus = (sum(ap) - m * (m - 1) // 2) // m  # sum of (w_i - i) / m, as w_i ≡ i mod m
     s = object.__new__(NumericalSemigroup)
     for name, value in zip(NumericalSemigroup.__slots__,
-                           (None, max(ap) - m, genus, m, ap, None, None, None)):
+                           (msg, max(ap) - m, genus, m, ap, None, None, None)):
         object.__setattr__(s, name, value)
     return s
 

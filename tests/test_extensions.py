@@ -2,7 +2,8 @@ import time
 
 import pytest
 
-from numsgps.errors import TypeTooLarge, WholeMonoid
+from numsgps import semigroup
+from numsgps.errors import NotASemigroup, TypeTooLarge, WholeMonoid
 from numsgps.extensions import (PertinentSet, ideal_extensions,
                                 is_ideal_extension, is_pertinent,
                                 pertinent_sets)
@@ -155,3 +156,23 @@ def test_pertinent_set_is_frozen():
     assert p == PertinentSet(S5689, (3,))
     with pytest.raises(AttributeError):
         p.members = ()
+
+
+@pytest.mark.parametrize("gens", [(48, 77, 101), (30, 31, 37, 41, 43)])
+def test_ideal_extensions_run_no_kunz_pass(monkeypatch, gens):
+    # pertinence proves each S ∪ A closed; above m its generators come from S's
+    calls = []
+    monkeypatch.setattr(semigroup, "_sums_in_apery", lambda *a: calls.append(a))
+    s = NumericalSemigroup(*gens)
+    exts = ideal_extensions(s)
+    assert calls == []
+    assert min(s.pseudo_frobenius()) > s.multiplicity
+    monkeypatch.undo()
+    assert [d.min_generators for d in exts] == [d.min_generators for d in extensions_bruteforce(s)]
+
+
+def test_hand_built_pertinent_set_is_checked():
+    # 3 + 4 = 7 is missing from <5,6,8,9> ∪ {3, 4}: extension() keeps the closure check
+    with pytest.raises(NotASemigroup) as exc:
+        PertinentSet(S5689, (3, 4)).extension()
+    assert exc.value.witness == (3, 4)

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from brute import closure_witness, naive_invariants, naive_members, naive_pertinent_sets
 from numsgps.complexity import ThetaMap, chain, theta_apply
 from numsgps.errors import NotASemigroup
-from numsgps.extensions import ideal_extensions, pertinent_sets
+from numsgps.extensions import _extend, ideal_extensions, pertinent_sets
 from numsgps.genealogy import root, shift_embed
 from numsgps.oracle import extensions_bruteforce
-from numsgps.semigroup import NumericalSemigroup, from_gaps
+from numsgps.semigroup import NumericalSemigroup, _generators, _sums_in_apery, from_gaps
 
 # a few seconds in all; construction times vary too much on a shared host for a deadline
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -199,3 +199,47 @@ def test_identity_is_the_apery_set(a, data):
     assert same == (a.min_generators == b.min_generators) == (a == b) == (hash(a) == hash(b))
     c = pickle.loads(pickle.dumps(b))
     assert c == b and hash(c) == hash(b) and c.min_generators == b.min_generators
+
+
+def kunz_generators(s):
+    """The minimal generators by the Kunz pass, whatever the build kept."""
+    m, ap = s.multiplicity, s._apery
+    return _generators(m, ap, _sums_in_apery(m, ap))
+
+
+@st.composite
+def generator_lists(draw):
+    """A generating list with duplicates and sums of two members, in any order."""
+    gens = list(draw(generator_sets()))
+    copies = draw(st.lists(st.sampled_from(gens), max_size=3))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(gens), st.sampled_from(gens)), max_size=3))
+    return draw(st.permutations(gens + copies + [a + b for a, b in pairs]))
+
+
+@SETTINGS
+@given(generator_lists())
+def test_round_robin_keeps_the_minimal_generators(gens):
+    s = NumericalSemigroup(gens)
+    assert s._msg == kunz_generators(s)
+    t = s.without({s.multiplicity})
+    assert t._msg == kunz_generators(t)
+
+
+@st.composite
+def truncated_semigroups(draw):
+    """{0} ∪ (T ∩ [k, ∞)): the nonzero members of T below k are pseudo-Frobenius numbers below m."""
+    t = draw(semigroups())
+    k = draw(st.integers(t.multiplicity + 1, t.multiplicity + 6))
+    return from_gaps({*t.gaps, *range(1, k)})
+
+
+@SETTINGS
+@given(semigroups(), truncated_semigroups())
+def test_extend_matches_the_checked_adjoin(above, below):
+    for s in (above, below):
+        for a in (p.members for p in pertinent_sets(s)):
+            trusted, checked = _extend(s, a), s.adjoin(a)
+            same_semigroup(trusted, checked)
+            assert (trusted.genus, trusted.frobenius) == (checked.genus, checked.frobenius)
+    # both builds run: A = {F} keeps m unless S is ordinary, and A ∋ min PF(below) lowers it
+    assert min(below.pseudo_frobenius()) < below.multiplicity

@@ -405,3 +405,14 @@ def test_multiplicity_guard_fires_before_the_rescan(monkeypatch):
     with pytest.raises(MultiplicityTooLarge):
         from_gaps(range(1, 5001))
     assert calls == [(1,)]
+
+
+def test_round_robin_builds_keep_their_generators(monkeypatch):
+    # the round robin yields the minimal generators, so neither needs a Kunz pass
+    calls = []
+    monkeypatch.setattr(semigroup, "_sums_in_apery", lambda *a: calls.append(a))
+    t = NumericalSemigroup(4000, 4001).without({4000})
+    assert t == NumericalSemigroup(4001, 8000, 8001, 12000)
+    assert t.min_generators == (4001, 8000, 8001, 12000)
+    pickle.dumps(NumericalSemigroup(1001, 1003))
+    assert calls == []
