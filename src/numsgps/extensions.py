@@ -12,18 +12,19 @@ are at most 2^t of them, t the type of S.  They are built directly,
 deciding PF(S) in ascending order, so the work follows the number of
 extensions rather than 2^t.
 
-Pertinence proves S ∪ A closed, so ideal_extensions builds each one
-without a closure check (_extend): above the multiplicity it lowers the
-Apéry set in place and reads the minimal generators off those of S, with
-no Kunz pass.  A PertinentSet may be built by hand with any members, so
-its extension() keeps the closure-checked adjoin.
+Pertinence proves S ∪ A closed, so when min A is above the multiplicity
+ideal_extensions builds S ∪ A without a closure check (_extend): it lowers
+the Apéry set in place and reads the minimal generators off those of S,
+with no Kunz pass.  Below the multiplicity the rescan and the pass are
+needed anyway, so it goes through the checked adjoin.  A PertinentSet may
+be built by hand with any members, so its extension() keeps adjoin.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import TypeTooLarge, WholeMonoid
-from .semigroup import NumericalSemigroup, _from_apery, _least_members
+from .semigroup import NumericalSemigroup, _from_apery
 
 # pertinent_sets may return up to 2^t subsets of PF(S); refuse absurd types
 MAX_TYPE = 25
@@ -90,10 +91,11 @@ def ideal_extensions(s: NumericalSemigroup, proper: bool = False) -> list[Numeri
 
 
 def _extend(s: NumericalSemigroup, a) -> NumericalSemigroup:
-    """S ∪ A for a pertinent A ⊆ PF(S), built without a closure check.
+    """S ∪ A for a pertinent A ⊆ PF(S); above m, built without a closure check.
 
-    If min A < m, min A is the new multiplicity: rescan per class, and
-    derive the minimal generators on first use.  Else each x in A lowers
+    If min A < m, min A is the new multiplicity: that needs a rescan per
+    class and the generators need a Kunz pass, which is what the checked
+    adjoin does anyway, so it builds through adjoin.  Else each x in A lowers
     w_{x mod m} from x + m to x, in O(|A|).  A generator g of S stays
     minimal unless g - x is a nonzero member of S ∪ A for some x in A, and
     x in A is minimal unless x is in A + A: for y in PF(S), y + s in S∖{0}
@@ -102,12 +104,10 @@ def _extend(s: NumericalSemigroup, a) -> NumericalSemigroup:
     """
     if not a:
         return s
-    m, old = s.multiplicity, s._apery
-    n = min(a)
-    if n < m:
-        plus = set(a)
-        return _from_apery(n, tuple(_least_members(n, lambda x: x >= old[x % m] or x in plus)))
-    ap = list(old)
+    m = s.multiplicity
+    if min(a) < m:
+        return s.adjoin(a)
+    ap = list(s._apery)
     for x in a:
         ap[x % m] = x
     msg = [g for g in s.min_generators

@@ -17,7 +17,7 @@ w_i + w_j >= w_{(i+j) mod m}, O(m²) to check however large F is.
 Ap(S, m) is the identity of an instance: equality and hashing compare it.
 Building and checking are apart.  _from_apery only builds, from an Apéry
 set closed by proof (the round robin, a gamma clamp, a tree node, an ideal
-extension), and runs no Kunz pass.  A build that knows the minimal
+extension above m), and runs no Kunz pass.  A build that knows the minimal
 generators keeps them: the round robin keeps the generators it uses, which
 for NumericalSemigroup(*gens) and without({m}) are exactly the minimal ones,
 and an ideal extension above m reads them off those of S.  Any other
@@ -272,7 +272,7 @@ class NumericalSemigroup:
         if m in minus or plus and min(plus) < m:  # member() keeps the old m
             n = next(filter(member, count(1)))
             _check_multiplicity(n)
-            ap = _least_members(n, member)
+            ap = [next(filter(member, count(i, n))) for i in range(n)]
         else:
             n, ap = m, list(old)
             for x in plus:
@@ -388,11 +388,6 @@ def _apery_mod(n, generators) -> tuple[tuple[int, ...], list[int]]:
                 p = x % n
                 x = ap[p] = min(x, ap[p])
     return tuple(ap), kept
-
-
-def _least_members(n, member) -> list[int]:
-    """The least x >= 0 with member(x) in each class mod n, n the least nonzero one: O(F + n)."""
-    return [next(filter(member, count(i, n))) for i in range(n)]
 
 
 def _from_apery(m, ap, msg=None) -> NumericalSemigroup:
