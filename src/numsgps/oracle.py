@@ -6,8 +6,10 @@ catalog of semigroups up to a genus bound, pseudo-Frobenius numbers
 straight from the definition, ideal extensions by filtering all 2^t
 subsets with an explicit closure test, and the minimal i-chain length by
 a memoised recursion over the extension graph, which is acyclic because
-every proper extension has fewer gaps.  The ``verify`` CLI
-command and the test suite both run these.
+every proper extension has fewer gaps.  The search for semigroups where
+the full PF selection overshoots the complexity walks the catalog by
+ascending genus and reads each chain length off the entry for S ∪ PF(S).
+The ``verify`` CLI command and the test suite both run these.
 """
 from __future__ import annotations
 
@@ -135,16 +137,19 @@ def pf_gap_search(max_genus: int) -> list[tuple[NumericalSemigroup, int, int]]:
     """Semigroups where iterating the full PF selection overshoots.
 
     Returns (s, complexity, mu_pf) triples with mu_pf > complexity, in
-    catalog order.
+    catalog order.  The catalog runs by ascending genus, and S ∪ PF(S) has
+    fewer gaps than S, so each mu_pf is one more than the entry already
+    kept for S ∪ PF(S): one PF step per semigroup.
     """
+    steps = {WHOLE: 0}
     out = []
     for s in enumerate_by_genus(max_genus).semigroups:
         if s.is_whole:
             continue
+        k = steps[s] = 1 + steps[s.adjoin(theta_apply(ThetaMap.PF, s))]
         c = complexity(s)
-        steps = mu(ThetaMap.PF, s)
-        if steps > c:
-            out.append((s, c, steps))
+        if k > c:
+            out.append((s, c, k))
     return out
 
 

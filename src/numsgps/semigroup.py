@@ -92,7 +92,7 @@ class NumericalSemigroup:
         raise AttributeError("NumericalSemigroup is immutable")
 
     def __reduce__(self):
-        return NumericalSemigroup, (self.min_generators,)
+        return _from_apery, (self.multiplicity, self._apery, self._msg)
 
     # -- constructors -------------------------------------------------
 

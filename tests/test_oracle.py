@@ -3,7 +3,7 @@ import copy
 import pytest
 
 from numsgps import oracle
-from numsgps.complexity import complexity
+from numsgps.complexity import ThetaMap, complexity, mu
 from numsgps.errors import GenusTooLarge, WholeMonoid
 from numsgps.extensions import ideal_extensions
 from numsgps.genealogy import child_edges as genuine_child_edges
@@ -102,7 +102,7 @@ def test_min_ichain_matches_complexity(catalog10):
         assert min_ichain_bfs(s) == complexity(s), s
 
 
-def test_pf_gap_search():
+def test_pf_gap_search(monkeypatch):
     hits = pf_gap_search(6)
     assert [(s.min_generators, c, steps) for s, c, steps in hits] == [
         ((4, 6, 9, 11), 2, 3),
@@ -114,6 +114,22 @@ def test_pf_gap_search():
     # no gap below Frobenius number 7: the first offender is <4,6,9,11>
     assert min(s.frobenius for s, _, _ in hits) == 7
     assert pf_gap_search(3) == []
+    # the whole PF chain from each semigroup is a second route to the same list
+    assert pf_gap_search(9) == [
+        (s, complexity(s), mu(ThetaMap.PF, s)) for s in enumerate_by_genus(9).semigroups
+        if not s.is_whole and mu(ThetaMap.PF, s) > complexity(s)]
+    assert len(pf_gap_search(12)) == 551
+    # each chain length is read off the entry for S ∪ PF(S), so adjoin runs
+    # once per non-whole member of the genus-8 catalog: 155 of its 156
+    calls = []
+
+    def counted(s, gaps):
+        calls.append(s)
+        return adjoin(s, gaps)
+    adjoin = NumericalSemigroup.adjoin
+    monkeypatch.setattr(NumericalSemigroup, "adjoin", counted)
+    pf_gap_search(8)
+    assert len(calls) == 155 == len(set(calls))
 
 
 def test_all_checks_pass(catalog8):

@@ -6,7 +6,7 @@ import pytest
 
 from brute import closure_witness, naive_members
 from numsgps import semigroup
-from numsgps.complexity import complexity
+from numsgps.complexity import _gamma_step, complexity
 from numsgps.errors import (FrobeniusTooLarge, GcdNotOne, MultiplicityTooLarge,
                             NotAMember, NotASemigroup, WholeMonoid)
 from numsgps.semigroup import (WHOLE, AperySet, NumericalSemigroup, from_gaps,
@@ -374,6 +374,10 @@ def test_pickle_round_trip(catalog10):
         t = pickle.loads(pickle.dumps(s))
         assert t == s and hash(t) == hash(s)
         assert t._apery == s._apery and t.genus == s.genus
+        assert t.min_generators == s.min_generators
+    # pickles made before they carried Ap(S, m) call NumericalSemigroup(gens)
+    old = b"\x80\x02cnumsgps.semigroup\nNumericalSemigroup\nq\x00K\x05K\x07\x86q\x01\x85q\x02Rq\x03."
+    assert pickle.loads(old) == NumericalSemigroup(5, 7)
 
 
 def test_copies_are_equal():
@@ -408,11 +412,14 @@ def test_multiplicity_guard_fires_before_the_rescan(monkeypatch):
 
 
 def test_round_robin_builds_keep_their_generators(monkeypatch):
-    # the round robin yields the minimal generators, so neither needs a Kunz pass
+    # the round robin yields the minimal generators, so neither needs a Kunz pass,
+    # and a pickle carries Ap(S, m), so a gamma link pickles without one either
     calls = []
     monkeypatch.setattr(semigroup, "_sums_in_apery", lambda *a: calls.append(a))
     t = NumericalSemigroup(4000, 4001).without({4000})
     assert t == NumericalSemigroup(4001, 8000, 8001, 12000)
     assert t.min_generators == (4001, 8000, 8001, 12000)
     pickle.dumps(NumericalSemigroup(1001, 1003))
+    link = _gamma_step(NumericalSemigroup(1001, 1003))
+    assert pickle.loads(pickle.dumps(link)) == link
     assert calls == []
