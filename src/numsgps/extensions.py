@@ -12,19 +12,20 @@ are at most 2^t of them, t the type of S.  They are built directly,
 deciding PF(S) in ascending order, so the work follows the number of
 extensions rather than 2^t.
 
-Pertinence proves S ∪ A closed, so when min A is above the multiplicity
-ideal_extensions builds S ∪ A without a closure check (_extend): it lowers
-the Apéry set in place and reads the minimal generators off those of S,
-with no Kunz pass.  Below the multiplicity the rescan and the pass are
-needed anyway, so it goes through the checked adjoin.  A PertinentSet may
-be built by hand with any members, so its extension() keeps adjoin.
+Pertinence proves S ∪ A closed, so ideal_extensions builds S ∪ A without
+a closure check (_extend) and with no Kunz pass.  When min A is above the
+multiplicity it lowers the Apéry set in place and reads the minimal
+generators off those of S; below it, S ∪ A = <msg(S) ∪ A> is built by the
+round robin modulo min A, which keeps the minimal generators it uses.  A
+PertinentSet may be built by hand with any members, so its extension()
+keeps the checked adjoin.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import TypeTooLarge, WholeMonoid
-from .semigroup import NumericalSemigroup, _from_apery
+from .semigroup import NumericalSemigroup, _from_apery, _from_generators
 
 # pertinent_sets may return up to 2^t subsets of PF(S); refuse absurd types
 MAX_TYPE = 25
@@ -91,11 +92,11 @@ def ideal_extensions(s: NumericalSemigroup, proper: bool = False) -> list[Numeri
 
 
 def _extend(s: NumericalSemigroup, a) -> NumericalSemigroup:
-    """S ∪ A for a pertinent A ⊆ PF(S); above m, built without a closure check.
+    """S ∪ A for a pertinent A ⊆ PF(S), built without a closure check.
 
-    If min A < m, min A is the new multiplicity: that needs a rescan per
-    class and the generators need a Kunz pass, which is what the checked
-    adjoin does anyway, so it builds through adjoin.  Else each x in A lowers
+    If min A < m, min A is the new multiplicity and S ∪ A = <msg(S) ∪ A>,
+    built by the round robin modulo min A in O(k·min A), which keeps the
+    minimal generators: no rescan and no Kunz pass.  Else each x in A lowers
     w_{x mod m} from x + m to x, in O(|A|).  A generator g of S stays
     minimal unless g - x is a nonzero member of S ∪ A for some x in A, and
     x in A is minimal unless x is in A + A: for y in PF(S), y + s in S∖{0}
@@ -106,7 +107,7 @@ def _extend(s: NumericalSemigroup, a) -> NumericalSemigroup:
         return s
     m = s.multiplicity
     if min(a) < m:
-        return s.adjoin(a)
+        return _from_generators({*s.min_generators, *a})
     ap = list(s._apery)
     for x in a:
         ap[x % m] = x

@@ -4,24 +4,28 @@ Everything here recomputes an answer from first principles so the fast
 implementations can be checked against it on small instances: a complete
 catalog of semigroups up to a genus bound, pseudo-Frobenius numbers
 straight from the definition, ideal extensions by filtering all 2^t
-subsets with an explicit closure test, and the minimal i-chain length by
-a memoised recursion over the extension graph, which is acyclic because
-every proper extension has fewer gaps.  The search for semigroups where
-the full PF selection overshoots the complexity walks the catalog by
-ascending genus and reads each chain length off the entry for S ∪ PF(S).
-The ``verify`` CLI command and the test suite both run these.
+subsets with an explicit closure test (each one that passes is built
+from its own least member per class, not through adjoin or from_gaps),
+and the minimal i-chain length by a memoised recursion over the extension
+graph, which is acyclic because every proper extension has fewer gaps.
+The search for semigroups where the full PF selection overshoots the
+complexity walks the catalog by ascending genus and reads each chain
+length off the entry for S ∪ PF(S), built unchecked since PF(S) is
+pertinent.  The ``verify`` CLI command and the test suite both run these.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
+from itertools import count
 
 from .complexity import ThetaMap, complexity, mu, theta_apply
 from .errors import GenusTooLarge, TypeTooLarge, WholeMonoid
-from .extensions import ideal_extensions
+from .extensions import _extend, ideal_extensions
 from .genealogy import DEFAULT_NODE_CAP, _walk, child_edges, root
-from .semigroup import WHOLE, NumericalSemigroup, from_gaps
+from .semigroup import WHOLE, NumericalSemigroup, _from_apery
 
 MAX_CATALOG_GENUS = 12
 MAX_BFS_GENUS = 10
@@ -81,7 +85,9 @@ def extensions_bruteforce(s: NumericalSemigroup) -> list[NumericalSemigroup]:
     """Every semigroup between s and s ∪ PF(s), by trying all 2^t unions.
 
     Independent of the pertinence shortcut: each candidate set gets a
-    direct closure test over all pairs of nonzero elements.
+    direct closure test over all pairs of nonzero elements, and one that
+    passes it is built from its least member per residue class by
+    _from_apery, with no round robin and no _edit.
     """
     if s.is_whole:
         raise WholeMonoid("the full monoid is its only extension")
@@ -94,18 +100,11 @@ def extensions_bruteforce(s: NumericalSemigroup) -> list[NumericalSemigroup]:
     for mask in range(1 << len(pf)):
         cand = base | {pf[i] for i in range(len(pf)) if mask >> i & 1}
         nonzero = sorted(x for x in cand if 0 < x <= f)
-        closed = True
-        for ia, a in enumerate(nonzero):
-            for b in nonzero[ia:]:
-                if a + b > f:
-                    break
-                if a + b not in cand:
-                    closed = False
-                    break
-            if not closed:
-                break
-        if closed:
-            out.append(from_gaps(set(range(1, f + 1)) - cand))
+        if all(a + b in cand for i, a in enumerate(nonzero)
+               for b in nonzero[i:bisect_right(nonzero, f - a)]):
+            m = min(nonzero, default=f + 1)  # least member per class mod m; all past F are in
+            out.append(_from_apery(m, tuple(next(x for x in count(i, m) if x in cand or x > f)
+                                            for i in range(m))))
     out.sort(key=lambda d: (-d.genus, d.min_generators))
     return out
 
@@ -139,14 +138,16 @@ def pf_gap_search(max_genus: int) -> list[tuple[NumericalSemigroup, int, int]]:
     Returns (s, complexity, mu_pf) triples with mu_pf > complexity, in
     catalog order.  The catalog runs by ascending genus, and S ∪ PF(S) has
     fewer gaps than S, so each mu_pf is one more than the entry already
-    kept for S ∪ PF(S): one PF step per semigroup.
+    kept for S ∪ PF(S): one PF step per semigroup.  PF(S) is pertinent, so
+    the step is the unchecked _extend; ``mu(ThetaMap.PF, s)``, whose chain
+    steps through the checked adjoin, is its second route.
     """
     steps = {WHOLE: 0}
     out = []
     for s in enumerate_by_genus(max_genus).semigroups:
         if s.is_whole:
             continue
-        k = steps[s] = 1 + steps[s.adjoin(theta_apply(ThetaMap.PF, s))]
+        k = steps[s] = 1 + steps[_extend(s, s.pseudo_frobenius())]
         c = complexity(s)
         if k > c:
             out.append((s, c, k))

@@ -17,14 +17,17 @@ w_i + w_j >= w_{(i+j) mod m}, O(m²) to check however large F is.
 Ap(S, m) is the identity of an instance: equality and hashing compare it.
 Building and checking are apart.  _from_apery only builds, from an Apéry
 set closed by proof (the round robin, a gamma clamp, a tree node, an ideal
-extension above m), and runs no Kunz pass.  A build that knows the minimal
-generators keeps them: the round robin keeps the generators it uses, which
-for NumericalSemigroup(*gens) and without({m}) are exactly the minimal ones,
-and an ideal extension above m reads them off those of S.  Any other
-instance derives them from Ap(S, m) on first use, like the pseudo-Frobenius
-numbers, the small elements and the gaps.  _edit, behind from_gaps, adjoin
-and without, is the one place that checks a candidate, and keeps the
-minimal generators its Kunz pass yields.
+extension, a candidate the brute-force oracle tested pair by pair), and
+runs no Kunz pass.  A build that knows the minimal generators keeps them:
+the round robin (_from_generators) keeps the generators it uses, which for
+NumericalSemigroup(*gens), without({m}) and a union <msg(S) ∪ A> with
+min A below m are exactly the minimal ones, and an ideal extension above m
+reads them off those of S.  Any other instance derives them from Ap(S, m)
+on first use, like the pseudo-Frobenius numbers, the small elements and
+the gaps.  _edit, behind from_gaps, adjoin and without, is the one place
+that checks a candidate, and keeps the minimal generators its Kunz pass
+yields; an adjoin below m it checks by the genus of the round robin's
+result, with no rescan and no Kunz pass.
 """
 from __future__ import annotations
 
@@ -86,7 +89,19 @@ class NumericalSemigroup:
     def __new__(cls, *generators):
         if len(generators) == 1 and not isinstance(generators[0], int):
             generators = tuple(generators[0])
-        return _from_apery(*_round_robin(generators))
+        _check_ints(generators, 1, "generators must be positive integers")
+        gens = sorted(set(generators))
+        if not gens:
+            raise ValueError("at least one generator is required")
+        if (d := gcd(*gens)) != 1:
+            raise GcdNotOne(f"gcd of generators is {d}, not 1")
+        too_large = f"Frobenius number of <{','.join(map(str, gens))}> exceeds {MAX_FROBENIUS}"
+        if gens[0] - 1 > MAX_FROBENIUS:  # F >= m - 1
+            raise FrobeniusTooLarge(too_large)
+        s = _from_generators(gens)
+        if s.frobenius > MAX_FROBENIUS:
+            raise FrobeniusTooLarge(too_large)
+        return s
 
     def __setattr__(self, name, value):
         raise AttributeError("NumericalSemigroup is immutable")
@@ -137,7 +152,7 @@ class NumericalSemigroup:
         """The unique minimal generating set: kept by the build, else derived by one Kunz pass."""
         if self._msg is None:
             m, ap = self.multiplicity, self._apery
-            object.__setattr__(self, "_msg", _generators(m, ap, _sums_in_apery(m, ap)))
+            _set_msg(self, _generators(m, ap, _sums_in_apery(m, ap)))
         return self._msg
 
     def __contains__(self, x) -> bool:
@@ -158,7 +173,7 @@ class NumericalSemigroup:
         """All members up to F+1 (up to 1 for the full monoid), derived on first use."""
         if self._small is None:
             top = max(self.frobenius + 1, self.multiplicity)
-            object.__setattr__(self, "_small", tuple(self.elements(top)))
+            _set_small(self, tuple(self.elements(top)))
         return self._small
 
     @property
@@ -166,7 +181,7 @@ class NumericalSemigroup:
         """All positive integers outside the semigroup, derived on first use."""
         if self._gaps is None:
             gaps = tuple(x for x in range(1, self.frobenius + 1) if x not in self)
-            object.__setattr__(self, "_gaps", gaps)
+            _set_gaps(self, gaps)
         return self._gaps
 
     @property
@@ -207,7 +222,7 @@ class NumericalSemigroup:
             ap = self._apery
             maximals = [w for w in ap  # w2 - w in S, negative differences never are
                         if not any(w2 != w and w2 - w >= ap[(w2 - w) % m] for w2 in ap)]
-            object.__setattr__(self, "_pf", tuple(sorted(w - m for w in maximals)))
+            _set_pf(self, tuple(sorted(w - m for w in maximals)))
         return self._pf
 
     def leq(self, a: int, b: int) -> bool:
@@ -244,9 +259,13 @@ class NumericalSemigroup:
         x, removing w_i raises it by m.  Removing m alone leaves the
         semigroup generated by the other minimal generators g, 2m, 3m and
         m + g, built by the round robin modulo the new multiplicity, which
-        also yields its minimal generators.  Any other change of m rescans
-        the candidate once, O(F + m), and refuses a multiplicity over
-        MAX_MULTIPLICITY as soon as it finds it.
+        also yields its minimal generators.  Adding gaps below m builds
+        <Ap(S, m) ∪ {m} ∪ plus> the same way, modulo n = min plus, in
+        O(m + e·n), e its embedding dimension: it contains S ∪ plus, and
+        equals it iff it has g(S) − |plus| gaps, so that count alone
+        accepts it.  Any other change of m, and a rejected
+        adjoin below m, rescans the candidate once, O(F + m), and refuses a
+        multiplicity over MAX_MULTIPLICITY as soon as it finds it.
 
         The candidate, its least member per class, is a semigroup iff its
         Kunz sum counts every gap and the Kunz inequalities hold; the pass
@@ -261,10 +280,11 @@ class NumericalSemigroup:
         m, old = self.multiplicity, self._apery
         if minus == {m}:
             rest = self.min_generators[1:]
-            n, *gens = sorted([*rest, 2 * m, 3 * m, *(m + g for g in rest)])
-            _check_multiplicity(n)
-            ap, kept = _apery_mod(n, gens)
-            return _from_apery(n, ap, (n, *kept))
+            return _from_generators([*rest, 2 * m, 3 * m, *(m + g for g in rest)])
+        if plus and min(plus) < m:  # m and Ap(S, m) generate S: no Kunz pass for msg(S)
+            s = _from_generators({m, *old[1:], *plus})
+            if s.genus == self.genus - len(plus):
+                return s
         if minus:  # one set lookup per test: the rescan runs it O(F + m) times
             member = lambda x: x not in minus and x >= old[x % m]  # noqa: E731
         else:
@@ -288,7 +308,7 @@ class NumericalSemigroup:
             raise NotASemigroup(
                 f"not closed under addition: {a} + {b} = {a + b} is missing",
                 witness=(a, b))
-        object.__setattr__(s, "_msg", _generators(n, ap, summed))
+        _set_msg(s, _generators(n, ap, summed))
         return s
 
     # -- canonical form ----------------------------------------------------
@@ -343,25 +363,6 @@ def _check_multiplicity(m: int) -> None:
         raise MultiplicityTooLarge(f"multiplicity {m} exceeds {MAX_MULTIPLICITY}")
 
 
-def _round_robin(generators) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """Multiplicity, Apéry set and minimal generators of <generators>, in O(k·m) steps."""
-    _check_ints(generators, 1, "generators must be positive integers")
-    gens = sorted(set(generators))
-    if not gens:
-        raise ValueError("at least one generator is required")
-    if (d := gcd(*gens)) != 1:
-        raise GcdNotOne(f"gcd of generators is {d}, not 1")
-    m = gens[0]
-    too_large = f"Frobenius number of <{','.join(map(str, gens))}> exceeds {MAX_FROBENIUS}"
-    if m - 1 > MAX_FROBENIUS:  # F >= m - 1
-        raise FrobeniusTooLarge(too_large)
-    _check_multiplicity(m)
-    ap, kept = _apery_mod(m, gens[1:])
-    if max(ap) - m > MAX_FROBENIUS:
-        raise FrobeniusTooLarge(too_large)
-    return m, ap, (m, *kept)
-
-
 def _apery_mod(n, generators) -> tuple[tuple[int, ...], list[int]]:
     """Ap(S, n) for a member n of S = <generators>, in O(k·n) steps, and the generators used.
 
@@ -379,15 +380,29 @@ def _apery_mod(n, generators) -> tuple[tuple[int, ...], list[int]]:
             continue
         kept.append(a)
         d = gcd(a, n)
+        steps = range(n // d - 1)
         for r in range(d):  # walk the cycle r, r + a, ... from its least entry
             x = min(ap[r::d])
             if x == inf:
                 continue
-            for _ in range(n // d - 1):
+            for _ in steps:
                 x += a
                 p = x % n
-                x = ap[p] = min(x, ap[p])
+                x = ap[p] = x if x < ap[p] else ap[p]
     return tuple(ap), kept
+
+
+def _from_generators(generators) -> NumericalSemigroup:
+    """<generators> by the round robin modulo the least, keeping the minimal generators it uses.
+
+    It only builds: the caller vouches that the generators have gcd 1 and
+    a Frobenius number within MAX_FROBENIUS.  The least one is the
+    multiplicity, so it is the only one checked against MAX_MULTIPLICITY.
+    """
+    n, *gens = sorted(generators)
+    _check_multiplicity(n)
+    ap, kept = _apery_mod(n, gens)
+    return _from_apery(n, ap, (n, *kept))
 
 
 def _from_apery(m, ap, msg=None) -> NumericalSemigroup:
@@ -398,12 +413,21 @@ def _from_apery(m, ap, msg=None) -> NumericalSemigroup:
     given, are its minimal generators in ascending order.  No Kunz pass
     runs; without ``msg`` the minimal generators are derived on first use.
     """
-    genus = (sum(ap) - m * (m - 1) // 2) // m  # sum of (w_i - i) / m, as w_i ≡ i mod m
     s = object.__new__(NumericalSemigroup)
-    for name, value in zip(NumericalSemigroup.__slots__,
-                           (msg, max(ap) - m, genus, m, ap, None, None, None)):
-        object.__setattr__(s, name, value)
+    _set_msg(s, msg)
+    _set_frobenius(s, max(ap) - m)
+    _set_genus(s, (sum(ap) - m * (m - 1) // 2) // m)  # sum of (w_i - i) / m, as w_i ≡ i mod m
+    _set_multiplicity(s, m)
+    _set_apery(s, ap)
+    _set_pf(s, None)
+    _set_small(s, None)
+    _set_gaps(s, None)
     return s
+
+
+# The slot setters, bound once: __setattr__ refuses every write.
+(_set_msg, _set_frobenius, _set_genus, _set_multiplicity, _set_apery, _set_pf, _set_small,
+ _set_gaps) = (getattr(NumericalSemigroup, name).__set__ for name in NumericalSemigroup.__slots__)
 
 
 def _generators(m, ap, summed) -> tuple[int, ...]:

@@ -158,17 +158,28 @@ def test_pertinent_set_is_frozen():
         p.members = ()
 
 
-@pytest.mark.parametrize("gens", [(48, 77, 101), (30, 31, 37, 41, 43)])
+@pytest.mark.parametrize("gens", [(48, 77, 101), (30, 31, 37, 41, 43), tuple(range(20, 40))])
 def test_ideal_extensions_run_no_kunz_pass(monkeypatch, gens):
-    # pertinence proves each S ∪ A closed; above m its generators come from S's
+    # pertinence proves each S ∪ A closed; above m its generators come from
+    # S's, below m from the round robin
     calls = []
     monkeypatch.setattr(semigroup, "_sums_in_apery", lambda *a: calls.append(a))
     s = NumericalSemigroup(*gens)
     exts = ideal_extensions(s)
     assert calls == []
-    assert min(s.pseudo_frobenius()) > s.multiplicity
+    below = [d for d in exts if d.multiplicity < s.multiplicity]
     monkeypatch.undo()
-    assert [d.min_generators for d in exts] == [d.min_generators for d in extensions_bruteforce(s)]
+    if gens[0] != 20:
+        assert below == []  # min PF(S) > m
+        slow = extensions_bruteforce(s)
+    else:
+        # the oracle would try 2^19 subsets; the extensions of <20,...,39> are
+        # the semigroups with F < 20, 2616 of them (OEIS A124506 summed, and ℕ)
+        assert len(below) == 2615 and len(set(exts)) == 2616
+        assert max(d.frobenius for d in exts) < 20
+        slow = [from_gaps(d.gaps) for d in exts]
+    assert exts == slow
+    assert [d.min_generators for d in exts] == [d.min_generators for d in slow]
 
 
 def test_hand_built_pertinent_set_is_checked():

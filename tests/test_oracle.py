@@ -82,6 +82,17 @@ def test_extensions_bruteforce_matches_fast_route(catalog10):
         assert extensions_bruteforce(s) == ideal_extensions(s), s
 
 
+def test_extension_routes_never_edit(catalog8, monkeypatch):
+    # neither route goes through the checked _edit: the oracle builds what
+    # its own pair loop proved closed, ideal_extensions what pertinence did
+    def refuse(*args):
+        raise AssertionError("_edit called")
+    monkeypatch.setattr(NumericalSemigroup, "_edit", refuse)
+    for s in catalog8.semigroups:
+        if not s.is_whole:
+            assert extensions_bruteforce(s) == ideal_extensions(s), s
+
+
 def test_min_ichain_bfs():
     assert min_ichain_bfs(NumericalSemigroup(4, 6, 9, 11)) == 2
     assert min_ichain_bfs(WHOLE) == 0
@@ -119,15 +130,15 @@ def test_pf_gap_search(monkeypatch):
         (s, complexity(s), mu(ThetaMap.PF, s)) for s in enumerate_by_genus(9).semigroups
         if not s.is_whole and mu(ThetaMap.PF, s) > complexity(s)]
     assert len(pf_gap_search(12)) == 551
-    # each chain length is read off the entry for S ∪ PF(S), so adjoin runs
+    # each chain length is read off the entry for S ∪ PF(S), so _extend runs
     # once per non-whole member of the genus-8 catalog: 155 of its 156
     calls = []
 
-    def counted(s, gaps):
+    def counted(s, a):
         calls.append(s)
-        return adjoin(s, gaps)
-    adjoin = NumericalSemigroup.adjoin
-    monkeypatch.setattr(NumericalSemigroup, "adjoin", counted)
+        return extend(s, a)
+    extend = oracle._extend
+    monkeypatch.setattr(oracle, "_extend", counted)
     pf_gap_search(8)
     assert len(calls) == 155 == len(set(calls))
 

@@ -335,6 +335,24 @@ def test_sparse_nonclosed_inputs_fail_fast():
     assert time.process_time() - start < 1.0
 
 
+def test_adjoin_below_the_multiplicity_skips_the_rescan():
+    # F ≈ 10⁶: the round robin modulo 2 accepts <2,1000001> by its genus
+    # alone, where a rescan of the candidate would take O(F)
+    s = NumericalSemigroup(4, 6, 10**6 + 1, 10**6 + 3)
+    start = time.process_time()
+    t = s.adjoin({2})
+    assert time.process_time() - start < 0.005
+    assert t == NumericalSemigroup(2, 10**6 + 1) and t.min_generators == (2, 10**6 + 1)
+    with pytest.raises(NotASemigroup) as exc:  # <3,4> is too big: rescan for the witness
+        s.adjoin({3})
+    assert exc.value.witness == (3, 4)
+    # every adjoined gap must generate: <2,5> has the 2 gaps fewer that
+    # <5,...,9> ∪ {2, 3} would have, but 2 + 2 is missing from the latter
+    with pytest.raises(NotASemigroup) as exc:
+        NumericalSemigroup(5, 6, 7, 8, 9).adjoin({2, 3})
+    assert exc.value.witness == (2, 2)
+
+
 def test_large_two_generator_semigroup_is_fast():
     start = time.process_time()
     s = NumericalSemigroup(1001, 1003)
