@@ -96,7 +96,7 @@ def _extend(s: NumericalSemigroup, a) -> NumericalSemigroup:
 
     If min A < m, min A is the new multiplicity and S ∪ A = <msg(S) ∪ A>,
     built by the round robin modulo min A in O(k·min A), which keeps the
-    minimal generators: no rescan and no Kunz pass.  Else each x in A lowers
+    minimal generators: no Kunz pass.  Else each x in A lowers
     w_{x mod m} from x + m to x, in O(|A|).  A generator g of S stays
     minimal unless g - x is a nonzero member of S ∪ A for some x in A, and
     x in A is minimal unless x is in A + A: for y in PF(S), y + s in S∖{0}

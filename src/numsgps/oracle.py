@@ -87,7 +87,7 @@ def extensions_bruteforce(s: NumericalSemigroup) -> list[NumericalSemigroup]:
     Independent of the pertinence shortcut: each candidate set gets a
     direct closure test over all pairs of nonzero elements, and one that
     passes it is built from its least member per residue class by
-    _from_apery, with no round robin and no _edit.
+    _from_apery, with no round robin and no checked edit.
     """
     if s.is_whole:
         raise WholeMonoid("the full monoid is its only extension")

@@ -20,14 +20,16 @@ set closed by proof (the round robin, a gamma clamp, a tree node, an ideal
 extension, a candidate the brute-force oracle tested pair by pair), and
 runs no Kunz pass.  A build that knows the minimal generators keeps them:
 the round robin (_from_generators) keeps the generators it uses, which for
-NumericalSemigroup(*gens), without({m}) and a union <msg(S) ∪ A> with
-min A below m are exactly the minimal ones, and an ideal extension above m
-reads them off those of S.  Any other instance derives them from Ap(S, m)
-on first use, like the pseudo-Frobenius numbers, the small elements and
-the gaps.  _edit, behind from_gaps, adjoin and without, is the one place
-that checks a candidate, and keeps the minimal generators its Kunz pass
-yields; an adjoin below m it checks by the genus of the round robin's
-result, with no rescan and no Kunz pass.
+NumericalSemigroup(*gens), without({m}), adjoin and a union <msg(S) ∪ A>
+with min A below m are exactly the minimal ones, and an ideal extension
+above m reads them off those of S.  Any other instance derives them from
+Ap(S, m) on first use, like the small elements and the gaps; the
+pseudo-Frobenius numbers are read off them and Ap(S, m).  Two edits check
+a candidate, and neither costs more as F grows: adjoin builds
+<Ap(S, m) ∪ {m} ∪ A> by the round robin and accepts it by its genus
+alone; without (behind from_gaps too) raises the Apéry set of the
+multiplicity left past the removed members, then checks the genus and the
+Kunz inequalities, whose pass yields the minimal generators.
 """
 from __future__ import annotations
 
@@ -127,7 +129,7 @@ class NumericalSemigroup:
         _check_ints(gapset, 1, "gaps must be positive integers")
         if max(gapset, default=0) > MAX_FROBENIUS:
             raise FrobeniusTooLarge(f"Frobenius number {max(gapset)} exceeds {MAX_FROBENIUS}")
-        return WHOLE._edit((), gapset)
+        return WHOLE._without(gapset)
 
     @classmethod
     def parse(cls, text: str) -> "NumericalSemigroup":
@@ -206,23 +208,23 @@ class NumericalSemigroup:
             raise NotAMember(f"{n} is not a nonzero member of {self}")
         if n == self.multiplicity:
             return AperySet(n, self._apery)
-        _check_multiplicity(n)
         return AperySet(n, _apery_mod(n, self.min_generators)[0])
 
     def pseudo_frobenius(self) -> tuple[int, ...]:
         """The gaps x with x + s a member for every nonzero member s.
 
         Computed as w - m over the maximal Apery elements w of the
-        multiplicity m under the partial order a <= b iff b - a in S.
+        multiplicity m under the partial order a <= b iff b - a in S.  As
+        Ap(S, m) is closed downwards in that order, w is maximal iff w + g
+        leaves it, w + g > w_{(w+g) mod m}, for every minimal generator
+        g ≠ m: O(e·m), e the embedding dimension.
         """
         if self.is_whole:
             raise WholeMonoid("the full monoid has no pseudo-Frobenius numbers")
         if self._pf is None:
-            m = self.multiplicity
-            ap = self._apery
-            maximals = [w for w in ap  # w2 - w in S, negative differences never are
-                        if not any(w2 != w and w2 - w >= ap[(w2 - w) % m] for w2 in ap)]
-            _set_pf(self, tuple(sorted(w - m for w in maximals)))
+            m, ap, gens = self.multiplicity, self._apery, self.min_generators[1:]
+            _set_pf(self, tuple(sorted(w - m for w in ap[1:]
+                                       if all(w + g > ap[(w + g) % m] for g in gens))))
         return self._pf
 
     def leq(self, a: int, b: int) -> bool:
@@ -234,11 +236,21 @@ class NumericalSemigroup:
     def adjoin(self, extra) -> "NumericalSemigroup":
         """The semigroup obtained by filling in the gaps in ``extra``.
 
+        m and Ap(S, m) generate S, so S ∪ A lies in <Ap(S, m) ∪ {m} ∪ A>,
+        built by the round robin modulo min(m, min A) in O(m + e·n), e its
+        embedding dimension, keeping its minimal generators; it equals
+        S ∪ A iff it has g(S) − |A| gaps, so that count alone accepts it.
         Raises NotASemigroup if the enlarged set is not closed.
         """
         extra = set(extra)
         _check_ints(extra, 0, "adjoined elements must be nonnegative integers")
-        return self._edit({x for x in extra if x not in self}, ())
+        plus = {x for x in extra if x not in self}
+        if not plus:
+            return self
+        s = _from_generators({self.multiplicity, *self._apery[1:], *plus})
+        if s.genus != self.genus - len(plus):
+            _refuse(*_adjoin_witness(self, plus))
+        return s
 
     def without(self, removed) -> "NumericalSemigroup":
         """The semigroup obtained by deleting the nonzero members ``removed``.
@@ -249,65 +261,38 @@ class NumericalSemigroup:
         for x in removed:
             if isinstance(x, bool) or x not in self or x < 1:
                 raise ValueError(f"can only remove nonzero members, got {x!r}")
-        return self._edit((), removed)
+        return self._without(removed)
 
-    def _edit(self, plus, minus) -> "NumericalSemigroup":
-        """(S ∪ plus) ∖ minus, for gaps ``plus`` or nonzero members ``minus`` (not both).
+    def _without(self, removed) -> "NumericalSemigroup":
+        """S ∖ R for a set R of nonzero members, checked.
 
-        The one place a candidate is checked.  While the multiplicity m
-        stays, Ap(S, m) is updated in place: adding x lowers w_{x mod m} to
-        x, removing w_i raises it by m.  Removing m alone leaves the
-        semigroup generated by the other minimal generators g, 2m, 3m and
-        m + g, built by the round robin modulo the new multiplicity, which
-        also yields its minimal generators.  Adding gaps below m builds
-        <Ap(S, m) ∪ {m} ∪ plus> the same way, modulo n = min plus, in
-        O(m + e·n), e its embedding dimension: it contains S ∪ plus, and
-        equals it iff it has g(S) − |plus| gaps, so that count alone
-        accepts it.  Any other change of m, and a rejected
-        adjoin below m, rescans the candidate once, O(F + m), and refuses a
-        multiplicity over MAX_MULTIPLICITY as soon as it finds it.
-
-        The candidate, its least member per class, is a semigroup iff its
-        Kunz sum counts every gap and the Kunz inequalities hold; the pass
-        that checks them also yields its minimal generators.  If not,
-        NotASemigroup carries the witness a scan over all pairs finds first.
-        A missing sum of two members of S lies in ``minus``; with ``minus``
-        empty every nonmember is a gap of S, so the witness search counts up
-        from 2m and stops below F.
+        Removing m alone leaves the semigroup generated by the other
+        minimal generators g, 2m, 3m and m + g, built by the round robin
+        modulo the new multiplicity, which also yields its minimal
+        generators.  Else the multiplicity left is n, the least member not
+        in R, at most (|R| + 1)·m.  Ap(S, n) (the round robin if n ≠ m) is
+        raised in place: a w_i in R goes up by n until it leaves R, O(n + |R|)
+        in all.  The candidate, its least member per class, is S ∖ R iff its
+        Kunz sum counts every gap, and a semigroup iff the Kunz inequalities
+        hold; the pass that checks them also yields its minimal generators.
         """
-        if not plus and not minus:
+        if not removed:
             return self
         m, old = self.multiplicity, self._apery
-        if minus == {m}:
+        if removed == {m}:
             rest = self.min_generators[1:]
             return _from_generators([*rest, 2 * m, 3 * m, *(m + g for g in rest)])
-        if plus and min(plus) < m:  # m and Ap(S, m) generate S: no Kunz pass for msg(S)
-            s = _from_generators({m, *old[1:], *plus})
-            if s.genus == self.genus - len(plus):
-                return s
-        if minus:  # one set lookup per test: the rescan runs it O(F + m) times
-            member = lambda x: x not in minus and x >= old[x % m]  # noqa: E731
-        else:
-            member = lambda x: x >= old[x % m] or x in plus  # noqa: E731
-        if m in minus or plus and min(plus) < m:  # member() keeps the old m
-            n = next(filter(member, count(1)))
-            _check_multiplicity(n)
-            ap = [next(filter(member, count(i, n))) for i in range(n)]
-        else:
-            n, ap = m, list(old)
-            for x in plus:
-                ap[x % m] = min(ap[x % m], x)
-            for x in minus:
-                while ap[x % m] in minus:
-                    ap[x % m] += m
+        member = lambda x: x not in removed and x >= old[x % m]  # noqa: E731
+        n = next(filter(member, count(m)))
+        ap = list(old if n == m else _apery_mod(n, self.min_generators)[0])
+        for x in removed:
+            while ap[x % n] in removed:
+                ap[x % n] += n
         ap = tuple(ap)
         s = _from_apery(n, ap)
-        gaps = self.genus - len(plus) + len(minus)
-        if s.genus != gaps or (summed := _sums_in_apery(n, ap)) is None:
-            a, b = _witness(n, ap, member, minus or None, s.genus == gaps)
-            raise NotASemigroup(
-                f"not closed under addition: {a} + {b} = {a + b} is missing",
-                witness=(a, b))
+        prefix_closed = s.genus == self.genus + len(removed)
+        if not prefix_closed or (summed := _sums_in_apery(n, ap)) is None:
+            _refuse(*_witness(n, ap, member, removed, prefix_closed))
         _set_msg(s, _generators(n, ap, summed))
         return s
 
@@ -370,8 +355,10 @@ def _apery_mod(n, generators) -> tuple[tuple[int, ...], list[int]]:
     n need not be a generator, nor the least one.  A generator a with
     a >= w_{a mod n} is already a member of the semigroup built so far, so
     it is skipped.  Fed in ascending order after the least generator n, the
-    generators kept are then exactly the minimal ones other than n.
+    generators kept are then exactly the minimal ones other than n.  A
+    modulus over MAX_MULTIPLICITY is refused before its table is built.
     """
+    _check_multiplicity(n)
     inf = float("inf")
     ap = [0] + [inf] * (n - 1)
     kept = []
@@ -397,10 +384,9 @@ def _from_generators(generators) -> NumericalSemigroup:
 
     It only builds: the caller vouches that the generators have gcd 1 and
     a Frobenius number within MAX_FROBENIUS.  The least one is the
-    multiplicity, so it is the only one checked against MAX_MULTIPLICITY.
+    multiplicity, which _apery_mod checks against MAX_MULTIPLICITY.
     """
     n, *gens = sorted(generators)
-    _check_multiplicity(n)
     ap, kept = _apery_mod(n, gens)
     return _from_apery(n, ap, (n, *kept))
 
@@ -453,18 +439,42 @@ def _sums_in_apery(m, ap):
     return summed
 
 
+def _refuse(a, b):
+    raise NotASemigroup(f"not closed under addition: {a} + {b} = {a + b} is missing",
+                        witness=(a, b))
+
+
+def _adjoin_witness(s, plus):
+    """The lexicographically first (a, b), a <= b, with a + b missing from S ∪ plus.
+
+    S is closed, so one of the pair is some p in ``plus``.  Its partner is
+    another member of ``plus``, or in some class mod m the least nonzero
+    member t of S with p + t outside ``plus``, t stepped by m past the sums
+    that land in it: once p + t is in S, so is every later sum of the class.
+    O(|plus|·(|plus| + m)) steps.
+    """
+    m, ap = s.multiplicity, s._apery
+
+    def partners(p):
+        yield from plus
+        for t in (m, *ap[1:]):
+            while p + t in plus:
+                t += m
+            yield t
+    return min((min(p, q), max(p, q)) for p in plus for q in partners(p)
+               if p + q < ap[(p + q) % m] and p + q not in plus)
+
+
 def _witness(m, ap, member, suspects, prefix_closed):
     """The lexicographically first (a, b), a <= b, with a + b a nonmember.
 
-    If a class mod m is no up-set, m + y leaves it for a member y >= m, so
-    a = m and m + b is the least such sum, counted up from 2m unless the
-    ``suspects`` hold it; else a failing pair still fails with both lowered
-    to Apéry elements.
+    ``ap`` is the candidate's least member per class mod m and ``suspects``
+    the removed members.  If a class is no up-set, m + y leaves it for a
+    member y >= m, so a = m and m + b is the least suspect with b a member;
+    else a failing pair still fails with both lowered to Apéry elements.
     """
     if not prefix_closed:
-        sums = count(2 * m) if suspects is None else sorted(suspects)
-        return m, next(x - m for x in sums
-                       if x >= 2 * m and member(x - m) and not member(x))
+        return m, next(x - m for x in sorted(suspects) if member(x - m))
     for a in sorted(ap[1:]):
         least = [max(w, w - (w - a) // m * m) for w in ap]  # least member >= a, per class
         found = [b for j, b in enumerate(least) if a + b < ap[(a + j) % m]]

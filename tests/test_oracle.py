@@ -83,11 +83,12 @@ def test_extensions_bruteforce_matches_fast_route(catalog10):
 
 
 def test_extension_routes_never_edit(catalog8, monkeypatch):
-    # neither route goes through the checked _edit: the oracle builds what
+    # neither route goes through a checked edit: the oracle builds what
     # its own pair loop proved closed, ideal_extensions what pertinence did
     def refuse(*args):
-        raise AssertionError("_edit called")
-    monkeypatch.setattr(NumericalSemigroup, "_edit", refuse)
+        raise AssertionError("checked edit called")
+    monkeypatch.setattr(NumericalSemigroup, "adjoin", refuse)
+    monkeypatch.setattr(NumericalSemigroup, "_without", refuse)
     for s in catalog8.semigroups:
         if not s.is_whole:
             assert extensions_bruteforce(s) == ideal_extensions(s), s

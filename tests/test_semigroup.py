@@ -331,19 +331,34 @@ def test_sparse_nonclosed_inputs_fail_fast():
     assert exc.value.witness == (3, 9999997)
     with pytest.raises(NotASemigroup) as exc:
         NumericalSemigroup(3, 5).without([3, 10**7])
-    assert exc.value.witness == (5, 9999995)  # the _scan path: m = 3 is removed
+    assert exc.value.witness == (5, 9999995)  # m = 3 is removed: Ap(S, 5) is raised
+    assert time.process_time() - start < 1.0
+
+
+def test_edits_of_huge_frobenius_finish_fast():
+    # neither edit scans up to F ≈ 2^40: adjoin checks by the genus and looks
+    # for its witness class by class, without raises Ap(S, n) past R only
+    start = time.process_time()
+    with pytest.raises(NotASemigroup) as exc:
+        NumericalSemigroup(2, 2**40 + 1).adjoin({2**40 - 3})
+    assert exc.value.witness == (2, 2**40 - 3)
+    with pytest.raises(NotASemigroup) as exc:
+        NumericalSemigroup(4, 2**38 + 1, 2**38 + 2, 2**38 + 3).adjoin({2})
+    assert exc.value.witness == (2, 4)
+    assert NumericalSemigroup(2, 2**40 + 1).without({2, 4}).min_generators == (
+        6, 8, 10, 2**40 + 1, 2**40 + 3, 2**40 + 5)
     assert time.process_time() - start < 1.0
 
 
 def test_adjoin_below_the_multiplicity_skips_the_rescan():
     # F ≈ 10⁶: the round robin modulo 2 accepts <2,1000001> by its genus
-    # alone, where a rescan of the candidate would take O(F)
+    # alone, in O(m + e·n) steps, however large F is
     s = NumericalSemigroup(4, 6, 10**6 + 1, 10**6 + 3)
     start = time.process_time()
     t = s.adjoin({2})
     assert time.process_time() - start < 0.005
     assert t == NumericalSemigroup(2, 10**6 + 1) and t.min_generators == (2, 10**6 + 1)
-    with pytest.raises(NotASemigroup) as exc:  # <3,4> is too big: rescan for the witness
+    with pytest.raises(NotASemigroup) as exc:  # <3,4> is too big: the witness class by class
         s.adjoin({3})
     assert exc.value.witness == (3, 4)
     # every adjoined gap must generate: <2,5> has the 2 gaps fewer that
@@ -405,10 +420,11 @@ def test_copies_are_equal():
 
 
 def test_removing_the_multiplicity_needs_no_rescan(monkeypatch):
-    # without({m}) takes the round robin modulo the new multiplicity
-    def rescan(*args):
-        raise AssertionError("rescanned")
-    monkeypatch.setattr(semigroup, "count", rescan)
+    # without({m}) takes the round robin modulo the new multiplicity, with no
+    # search for the least member left
+    def search(*args):
+        raise AssertionError("searched")
+    monkeypatch.setattr(semigroup, "count", search)
     assert NumericalSemigroup(3, 10**6 + 1).without({3}).min_generators == (
         6, 9, 10**6 + 1, 10**6 + 4)
     assert NumericalSemigroup(400, 401).without({400}).min_generators == (401, 800, 801, 1200)
@@ -416,7 +432,8 @@ def test_removing_the_multiplicity_needs_no_rescan(monkeypatch):
 
 
 def test_multiplicity_guard_fires_before_the_rescan(monkeypatch):
-    # one count() call finds the new multiplicity 5001; no class is scanned after it
+    # one count() call finds the new multiplicity 5001; the round robin modulo
+    # it refuses it before building its table, and no class is scanned
     calls = []
 
     def counted(*args):
