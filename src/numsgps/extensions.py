@@ -13,7 +13,7 @@ deciding PF(S) in ascending order, so the work follows the number of
 extensions rather than 2^t.
 
 Pertinence proves S ∪ A closed, so ideal_extensions builds S ∪ A without
-a closure check (_extend) and with no Kunz pass.  When min A is above the
+a closure check (_extend) and derives no generators.  When min A is above the
 multiplicity it lowers the Apéry set in place and reads the minimal
 generators off those of S; below it, S ∪ A = <msg(S) ∪ A> is built by the
 round robin modulo min A, which keeps the minimal generators it uses.  A
@@ -96,7 +96,7 @@ def _extend(s: NumericalSemigroup, a) -> NumericalSemigroup:
 
     If min A < m, min A is the new multiplicity and S ∪ A = <msg(S) ∪ A>,
     built by the round robin modulo min A in O(k·min A), which keeps the
-    minimal generators: no Kunz pass.  Else each x in A lowers
+    minimal generators, so none is derived.  Else each x in A lowers
     w_{x mod m} from x + m to x, in O(|A|).  A generator g of S stays
     minimal unless g - x is a nonzero member of S ∪ A for some x in A, and
     x in A is minimal unless x is in A + A: for y in PF(S), y + s in S∖{0}

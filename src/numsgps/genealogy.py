@@ -11,12 +11,13 @@ enumerates them all.
 
 The walk runs on Apéry tuples Ap(T, m): removing the generator w_i raises
 w_i by m, so count and export_dot build no semigroup object past the root,
-and level and enumerate build only the last level.  export_dot derives each
-node's minimal generators by one Kunz pass, names the node by them and
-reads its removable generators off them.  oracle.check_tree still certifies
-every edge it walks through child_edges, which builds each child with a
-closure-checked ``without`` and reads the removable generators off the
-parent's minimal generators.
+and level and enumerate build only the last level.  A node's removable
+generators are the w_i above ⌊max w/m⌋·m that are no sum of two nonzero
+members, found by semigroup._generators_above, the rule that derives every
+instance's minimal generators; export_dot names each node by the same rule
+with no bound.  oracle.check_tree still certifies every edge it walks
+through child_edges, which builds each child with a closure-checked
+``without``.
 
 Prepending a copy of m to a semigroup (shift_embed) maps each level
 injectively into the next, which is why the levels never shrink.
@@ -25,9 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import LevelTooLarge, NotASemigroup, WholeMonoid
-from .semigroup import (NumericalSemigroup, _check_multiplicity, _from_apery, _generators,
-                        _sums_in_apery)
+from .errors import LevelTooLarge, WholeMonoid
+from .semigroup import NumericalSemigroup, _check_multiplicity, _from_apery, _generators_above
 
 DEFAULT_NODE_CAP = 10_000_000
 
@@ -56,37 +56,25 @@ def removal_candidates(t: NumericalSemigroup) -> tuple[int, ...]:
     so there are at most m−1 of them; ``oracle.check_tree`` certifies this
     on every edge it walks.
     """
-    return _candidates(t._apery, t.min_generators)
+    return _candidates(t._apery)
 
 
-def _candidates(ap, msg=None):
-    """removal_candidates on Ap(T, m): the minimal generators above (⌊F/m⌋+1)·m.
-
-    Given T's minimal generators ``msg``, they are read off it; without, a
-    Kunz pass re-checks the Kunz inequalities of ``ap`` and names the w_i
-    that are sums, and so no generator.
-    """
+def _candidates(ap):
+    """removal_candidates on Ap(T, m): the minimal generators above (⌊F/m⌋+1)·m."""
     m = len(ap)
     if m == 1:
         raise WholeMonoid("the full monoid has no children")
-    top = max(ap) // m * m  # (⌊F/m⌋+1)·m, as F = max w − m
-    if msg is not None:
-        return tuple(x for x in msg if x > top)
-    summed = _sums_in_apery(m, ap)
-    if summed is None:
-        raise NotASemigroup(f"Apéry tuple {ap} breaks a Kunz inequality")
-    return tuple(w for i, w in enumerate(ap) if w > top and i not in summed)
+    return _generators_above(ap, max(ap) // m * m)  # (⌊F/m⌋+1)·m, as F = max w − m
 
 
-def _apery_edges(ap, msg=None):
+def _apery_edges(ap):
     """child_edges on Ap(T, m), one child at a time: removing w_i raises it by m.
 
-    The removable generators come from ``_candidates(ap, msg)``, so without
-    ``msg`` the Kunz inequalities are checked on the call, before any child
-    exists.  Candidate j adds a stage that extends every earlier subset by
-    it, which keeps the subsets in bit-mask order.
+    The removable generators come from ``_candidates(ap)``, on the call,
+    before any child exists.  Candidate j adds a stage that extends every
+    earlier subset by it, which keeps the subsets in bit-mask order.
     """
-    m, cands = len(ap), _candidates(ap, msg)
+    m, cands = len(ap), _candidates(ap)
 
     def stages():
         edges = [(ap, ())]
@@ -100,7 +88,7 @@ def _apery_edges(ap, msg=None):
 
 def child_edges(t: NumericalSemigroup) -> list[tuple[NumericalSemigroup, tuple[int, ...]]]:
     """(child, removed generators) pairs for every nonempty removable subset."""
-    return [(t.without(r), r) for _, r in _apery_edges(t._apery, t.min_generators)]
+    return [(t.without(r), r) for _, r in _apery_edges(t._apery)]
 
 
 def children(t: NumericalSemigroup) -> list[NumericalSemigroup]:
@@ -185,12 +173,10 @@ def export_dot(m: int, max_depth: int, max_nodes: int = DEFAULT_NODE_CAP) -> str
     """
     if max_depth < 0:
         raise ValueError("depth must be nonnegative")
-    nodes, edges, gens, names, r = [], [], {}, {}, root(m)
-    # a level's generators are derived as it is yielded, before the walk expands it
-    for lvl in _walk(r._apery, lambda ap: _apery_edges(ap, gens[ap]), max_depth, max_nodes, r):
+    nodes, edges, names, r = [], [], {}, root(m)
+    for lvl in _walk(r._apery, _apery_edges, max_depth, max_nodes, r):
         for t, ap, removed in lvl:
-            gens[ap] = msg = _generators(m, ap, _sums_in_apery(m, ap))
-            names[ap] = name = "<" + ",".join(str(g) for g in msg) + ">"
+            names[ap] = name = "<" + ",".join(str(g) for g in (m, *_generators_above(ap, 0))) + ">"
             nodes.append(f'  "{name}";')
             if t is not None:
                 label = "{" + ",".join(str(x) for x in removed) + "}"

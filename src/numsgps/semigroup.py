@@ -9,30 +9,33 @@ its Frobenius number is -1.
 
 Every instance is canonical and immutable: it stores only the Apéry set
 Ap(S, m) = (w_0, ..., w_{m-1}), w_i the least member ≡ i mod m.  Then x is
-a member iff x >= w_{x mod m}, F = max w - m, the genus is the sum of the
-Kunz coordinates (w_i - i)/m, and the minimal generators are m and the w_i
-that are no sum of two nonzero w_j.  Closure is the Kunz inequalities
-w_i + w_j >= w_{(i+j) mod m}, O(m²) to check however large F is.
+a member iff x >= w_{x mod m}, F = max w - m, and the genus is the sum of
+the Kunz coordinates (w_i - i)/m.  The minimal generators are m and the w_i
+that are no sum of two nonzero members; as w_i - m is no member, such a
+sum lowers to two Apéry elements, so one rule (_generators_above) finds
+them by membership tests alone.
 
 Ap(S, m) is the identity of an instance: equality and hashing compare it.
 Building and checking are apart.  _from_apery only builds, from an Apéry
 set closed by proof (the round robin, a gamma clamp, a tree node, an ideal
-extension, a candidate the brute-force oracle tested pair by pair), and
-runs no Kunz pass.  A build that knows the minimal generators keeps them:
-the round robin (_from_generators) keeps the generators it uses, which for
-NumericalSemigroup(*gens), without({m}), adjoin and a union <msg(S) ∪ A>
-with min A below m are exactly the minimal ones, and an ideal extension
-above m reads them off those of S.  Any other instance derives them from
+extension, a candidate the brute-force oracle tested pair by pair).  A
+build that knows the minimal generators keeps them: the round robin
+(_from_generators) keeps the generators it uses, which for
+NumericalSemigroup(*gens), adjoin, without and a union <msg(S) ∪ A> with
+min A below m are exactly the minimal ones, and an ideal extension above
+m reads them off those of S.  Any other instance derives them from
 Ap(S, m) on first use, like the small elements and the gaps; the
 pseudo-Frobenius numbers are read off them and Ap(S, m).  Two edits check
-a candidate, and neither costs more as F grows: adjoin builds
-<Ap(S, m) ∪ {m} ∪ A> by the round robin and accepts it by its genus
-alone; without (behind from_gaps too) raises the Apéry set of the
-multiplicity left past the removed members, then checks the genus and the
-Kunz inequalities, whose pass yields the minimal generators.
+a candidate, both the same way, and neither costs more as F grows: each
+builds a semigroup that contains the result by the round robin and
+accepts it iff it has as many gaps as the result must have.  adjoin
+builds <Ap(S, m) ∪ {m} ∪ A>; without (behind from_gaps too) raises the
+Apéry set of the multiplicity n left past the removed members and builds
+<n, that set>.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import count
 from math import gcd
@@ -49,8 +52,8 @@ from .errors import (
 # Inputs whose Frobenius number would pass this are refused outright;
 # everything downstream is exhaustive and infeasible long before it.
 MAX_FROBENIUS = 1 << 40
-# Ap(S, m) has m entries and the Kunz pass takes O(m²) steps, so a larger
-# multiplicity is refused before either is built.
+# Ap(S, m) has m entries and a round robin modulo m up to m·e steps, e the
+# embedding dimension, so a larger multiplicity is refused before either is built.
 MAX_MULTIPLICITY = 4096
 
 
@@ -127,8 +130,6 @@ class NumericalSemigroup:
         """
         gapset = set(gaps)
         _check_ints(gapset, 1, "gaps must be positive integers")
-        if max(gapset, default=0) > MAX_FROBENIUS:
-            raise FrobeniusTooLarge(f"Frobenius number {max(gapset)} exceeds {MAX_FROBENIUS}")
         return WHOLE._without(gapset)
 
     @classmethod
@@ -151,10 +152,9 @@ class NumericalSemigroup:
 
     @property
     def min_generators(self) -> tuple[int, ...]:
-        """The unique minimal generating set: kept by the build, else derived by one Kunz pass."""
+        """The unique minimal generating set: kept by the build, else derived from Ap(S, m)."""
         if self._msg is None:
-            m, ap = self.multiplicity, self._apery
-            _set_msg(self, _generators(m, ap, _sums_in_apery(m, ap)))
+            _set_msg(self, (self.multiplicity, *_generators_above(self._apery, 0)))
         return self._msg
 
     def __contains__(self, x) -> bool:
@@ -266,34 +266,29 @@ class NumericalSemigroup:
     def _without(self, removed) -> "NumericalSemigroup":
         """S ∖ R for a set R of nonzero members, checked.
 
-        Removing m alone leaves the semigroup generated by the other
-        minimal generators g, 2m, 3m and m + g, built by the round robin
-        modulo the new multiplicity, which also yields its minimal
-        generators.  Else the multiplicity left is n, the least member not
-        in R, at most (|R| + 1)·m.  Ap(S, n) (the round robin if n ≠ m) is
-        raised in place: a w_i in R goes up by n until it leaves R, O(n + |R|)
-        in all.  The candidate, its least member per class, is S ∖ R iff its
-        Kunz sum counts every gap, and a semigroup iff the Kunz inequalities
-        hold; the pass that checks them also yields its minimal generators.
+        F(S ∖ R) = max(F(S), max R), so a removed member above MAX_FROBENIUS
+        is refused before any work.  The multiplicity left is n, the least
+        member not in R, at most (|R| + 1)·m.  Ap(S, n) (the round robin if
+        n ≠ m) is raised in place: a w_i in R goes up by n until it leaves
+        R, O(n + |R|) in all, giving the least member of S ∖ R per class.
+        So <n, raised set> contains S ∖ R; built by the round robin, which
+        keeps its minimal generators, it equals S ∖ R, and S ∖ R is closed,
+        iff it has g(S) + |R| gaps.
         """
+        if max(removed, default=0) > MAX_FROBENIUS:
+            raise FrobeniusTooLarge(f"Frobenius number {max(removed)} exceeds {MAX_FROBENIUS}")
         if not removed:
             return self
         m, old = self.multiplicity, self._apery
-        if removed == {m}:
-            rest = self.min_generators[1:]
-            return _from_generators([*rest, 2 * m, 3 * m, *(m + g for g in rest)])
         member = lambda x: x not in removed and x >= old[x % m]  # noqa: E731
         n = next(filter(member, count(m)))
         ap = list(old if n == m else _apery_mod(n, self.min_generators)[0])
         for x in removed:
             while ap[x % n] in removed:
                 ap[x % n] += n
-        ap = tuple(ap)
-        s = _from_apery(n, ap)
-        prefix_closed = s.genus == self.genus + len(removed)
-        if not prefix_closed or (summed := _sums_in_apery(n, ap)) is None:
-            _refuse(*_witness(n, ap, member, removed, prefix_closed))
-        _set_msg(s, _generators(n, ap, summed))
+        s, gaps = _from_generators({n, *ap[1:]}), self.genus + len(removed)
+        if s.genus != gaps:
+            _refuse(*_witness(n, ap, member, removed, _from_apery(n, ap).genus == gaps))
         return s
 
     # -- canonical form ----------------------------------------------------
@@ -396,8 +391,8 @@ def _from_apery(m, ap, msg=None) -> NumericalSemigroup:
 
     It only builds: the caller vouches that ``ap`` is Ap(S, m) of a
     semigroup S, that m passed _check_multiplicity and that ``msg``, if
-    given, are its minimal generators in ascending order.  No Kunz pass
-    runs; without ``msg`` the minimal generators are derived on first use.
+    given, are its minimal generators in ascending order.  Nothing is
+    checked; without ``msg`` the minimal generators are derived on first use.
     """
     s = object.__new__(NumericalSemigroup)
     _set_msg(s, msg)
@@ -416,27 +411,24 @@ def _from_apery(m, ap, msg=None) -> NumericalSemigroup:
  _set_gaps) = (getattr(NumericalSemigroup, name).__set__ for name in NumericalSemigroup.__slots__)
 
 
-def _generators(m, ap, summed) -> tuple[int, ...]:
-    """m and the w_i, i nonzero, whose residue is not in ``summed``, ascending."""
-    return (m, *sorted(w for i, w in enumerate(ap) if i and i not in summed))
+def _generators_above(ap, bound) -> tuple[int, ...]:
+    """The nonzero w in Ap(S, m) above ``bound`` that are no sum of two nonzero members, ascending.
 
-
-def _sums_in_apery(m, ap):
-    """Residues k with w_k = w_i + w_j, i, j nonzero: the w_k that are no minimal generator.
-
-    None if some w_i + w_j falls below its w_k, breaking a Kunz inequality.
+    w - m is no member, so in a sum w = a + b both a and b are Apéry
+    elements, and one of them is at most w / 2: w is a minimal generator
+    iff w - v is no member for every Apéry element 0 < v <= w / 2.  Each w
+    stops at the first such v whose partner is a member.
     """
-    summed = set()
-    twice = ap + ap
-    for i in range(1, m):
-        w = ap[i]
-        for j, c in enumerate(twice[2 * i:m + i], i):  # c = w_{(i+j) mod m}
-            d = w + ap[j] - c
-            if d <= 0:
-                if d < 0:
-                    return None
-                summed.add((i + j) % m)
-    return summed
+    m, ws, found = len(ap), sorted(ap), []
+    for k in range(bisect_right(ws, bound), m):
+        w = ws[k]
+        for v in ws[1:bisect_right(ws, w // 2, 1, k)]:
+            x = w - v
+            if x >= ap[x % m]:
+                break
+        else:
+            found.append(w)
+    return tuple(found)
 
 
 def _refuse(a, b):

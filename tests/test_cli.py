@@ -267,7 +267,9 @@ def test_library_has_no_assert_statement():
 @pytest.mark.parametrize("argv, message", [
     (["info", "--gaps", "1,2,6"], "error: not closed under addition: 3 + 3 = 6 is missing"),
     (["info", "<5000,5001>"], "error: multiplicity 5000 exceeds 4096"),
-], ids=["not-a-semigroup", "multiplicity-too-large"])
+    (["info", "--gaps", "2199023255552"],
+     "error: Frobenius number 2199023255552 exceeds 1099511627776"),
+], ids=["not-a-semigroup", "multiplicity-too-large", "frobenius-too-large"])
 def test_guards_fire_under_python_O(argv, message):
     src = str(Path(numsgps.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -186,7 +186,7 @@ def test_gamma_chain_runs_no_kunz_pass(monkeypatch):
     # each link is a clamp of the Kunz coordinates, closed by proof
     s = NumericalSemigroup(1001, 1003)
     calls = []
-    monkeypatch.setattr(semigroup, "_sums_in_apery", lambda *a: calls.append(a))
+    monkeypatch.setattr(semigroup, "_generators_above", lambda *a: calls.append(a))
     links = chain(ThetaMap.GAMMA, s).links
     assert len(links) - 1 == complexity(s) == 1001
     assert calls == []

@@ -163,7 +163,7 @@ def test_ideal_extensions_run_no_kunz_pass(monkeypatch, gens):
     # pertinence proves each S ∪ A closed; above m its generators come from
     # S's, below m from the round robin
     calls = []
-    monkeypatch.setattr(semigroup, "_sums_in_apery", lambda *a: calls.append(a))
+    monkeypatch.setattr(semigroup, "_generators_above", lambda *a: calls.append(a))
     s = NumericalSemigroup(*gens)
     exts = ideal_extensions(s)
     assert calls == []

@@ -7,7 +7,7 @@ import pytest
 from brute import kunz_count
 from numsgps import genealogy, semigroup
 from numsgps.complexity import complexity
-from numsgps.errors import LevelTooLarge, NotASemigroup, WholeMonoid
+from numsgps.errors import LevelTooLarge, WholeMonoid
 from numsgps.genealogy import (TreeLevel, child_edges, children, count,
                                enumerate_semigroups, export_dot, level,
                                removal_candidates, root, shift_embed)
@@ -61,12 +61,6 @@ def test_candidates_sit_in_one_block(catalog10):
         cand = removal_candidates(t)
         assert len(cand) <= m - 1
         assert all(lo < x < lo + m for x in cand)
-
-
-def test_expanding_a_node_rechecks_its_kunz_inequalities():
-    # (0, 4, 11): w_1 + w_1 = 8 < w_2 = 11, so 4 + 4 would be missing
-    with pytest.raises(NotASemigroup):
-        genealogy._apery_edges((0, 4, 11))
 
 
 def test_children_of_the_ordinary_root():
@@ -265,18 +259,18 @@ def test_export_dot_bytes_are_pinned(m, depth, size, edges, sha256):
     assert hashlib.sha256(dot).hexdigest() == sha256
 
 
-def test_export_dot_runs_one_kunz_pass_per_node(monkeypatch):
-    # naming a node derives its generators; expanding it reuses them
+def test_export_dot_derives_each_name_once(monkeypatch):
+    # naming a node derives all its generators (bound 0), once per node
     calls = []
 
-    def counted(m, ap):
-        calls.append(ap)
-        return sums(m, ap)
-    sums = semigroup._sums_in_apery
-    monkeypatch.setattr(semigroup, "_sums_in_apery", counted)
-    monkeypatch.setattr(genealogy, "_sums_in_apery", counted)
+    def counted(ap, bound):
+        calls.append(bound)
+        return derive(ap, bound)
+    derive = semigroup._generators_above
+    monkeypatch.setattr(semigroup, "_generators_above", counted)
+    monkeypatch.setattr(genealogy, "_generators_above", counted)
     dot = export_dot(5, 4)
-    assert len(calls) == dot.count('";') == 295
+    assert calls.count(0) == dot.count('";') == 295
 
 
 def test_export_dot_builds_only_the_root(monkeypatch):
@@ -315,19 +309,19 @@ def test_export_dot_matches_level_and_child_edges(m):
 
 
 def test_child_edges_reads_the_parent_generators(monkeypatch):
-    # t was built by a checked without, so it holds its generators:
-    # the only Kunz passes are the ones that check each child
+    # t's candidates are derived once; each checked child keeps the
+    # generators of its round robin and derives none
     t = root(4).without({5, 6, 7})
     calls = []
 
-    def counted(m, ap):
+    def counted(ap, bound):
         calls.append(ap)
-        return sums(m, ap)
-    sums = semigroup._sums_in_apery
-    monkeypatch.setattr(semigroup, "_sums_in_apery", counted)
-    monkeypatch.setattr(genealogy, "_sums_in_apery", counted)
+        return derive(ap, bound)
+    derive = semigroup._generators_above
+    monkeypatch.setattr(semigroup, "_generators_above", counted)
+    monkeypatch.setattr(genealogy, "_generators_above", counted)
     edges = child_edges(t)
-    assert len(edges) == 7 and len(calls) == len(edges)
+    assert len(edges) == 7 and calls == [t._apery]
 
 
 def test_export_dot_node_cap():

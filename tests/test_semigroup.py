@@ -314,7 +314,11 @@ def test_frobenius_guard_fires_before_the_work():
         NumericalSemigroup(1000, 10**12 + 1)
     with pytest.raises(FrobeniusTooLarge):
         NumericalSemigroup(2**41, 2**41 + 1)  # F >= m - 1 refuses it unbuilt
+    with pytest.raises(FrobeniusTooLarge) as exc:
+        NumericalSemigroup(2, 2**40 + 1).without({2**40 + 1})  # F(S ∖ R) >= max R
+    assert str(exc.value) == f"Frobenius number {2**40 + 1} exceeds {2**40}"
     assert time.process_time() - start < 1.0
+    assert NumericalSemigroup(2, 2**40 - 1).without({2**40 - 1}).frobenius == 2**40 - 1
 
 
 def test_sparse_nonclosed_inputs_fail_fast():
@@ -419,16 +423,17 @@ def test_copies_are_equal():
     assert copy.deepcopy({s: [s]}) == {s: [s]}
 
 
-def test_removing_the_multiplicity_needs_no_rescan(monkeypatch):
-    # without({m}) takes the round robin modulo the new multiplicity, with no
-    # search for the least member left
-    def search(*args):
-        raise AssertionError("searched")
-    monkeypatch.setattr(semigroup, "count", search)
+def test_removing_the_multiplicity_needs_no_rescan():
+    # without({m}) takes the round robin modulo the new multiplicity after a
+    # search of at most 2m members, so no step grows with F
     assert NumericalSemigroup(3, 10**6 + 1).without({3}).min_generators == (
         6, 9, 10**6 + 1, 10**6 + 4)
     assert NumericalSemigroup(400, 401).without({400}).min_generators == (401, 800, 801, 1200)
     assert WHOLE.without({1}) == NumericalSemigroup(2, 3)
+    start = time.process_time()
+    assert NumericalSemigroup(3, 2**38 + 1).without({3}).min_generators == (
+        6, 9, 2**38 + 1, 2**38 + 4)
+    assert time.process_time() - start < 0.1
 
 
 def test_multiplicity_guard_fires_before_the_rescan(monkeypatch):
@@ -447,10 +452,10 @@ def test_multiplicity_guard_fires_before_the_rescan(monkeypatch):
 
 
 def test_round_robin_builds_keep_their_generators(monkeypatch):
-    # the round robin yields the minimal generators, so neither needs a Kunz pass,
-    # and a pickle carries Ap(S, m), so a gamma link pickles without one either
+    # the round robin yields the minimal generators, so neither derives them,
+    # and a pickle carries Ap(S, m), so a gamma link pickles without deriving them either
     calls = []
-    monkeypatch.setattr(semigroup, "_sums_in_apery", lambda *a: calls.append(a))
+    monkeypatch.setattr(semigroup, "_generators_above", lambda *a: calls.append(a))
     t = NumericalSemigroup(4000, 4001).without({4000})
     assert t == NumericalSemigroup(4001, 8000, 8001, 12000)
     assert t.min_generators == (4001, 8000, 8001, 12000)
