@@ -24,8 +24,9 @@ build that knows the minimal generators keeps them: the round robin
 NumericalSemigroup(*gens), adjoin, without and a union <msg(S) ∪ A> with
 min A below m are exactly the minimal ones, and an ideal extension above
 m reads them off those of S.  Any other instance derives them from
-Ap(S, m) on first use, like the small elements and the gaps; the
-pseudo-Frobenius numbers are read off them and Ap(S, m).  Two edits check
+Ap(S, m) on first use; the pseudo-Frobenius numbers are read off them and
+Ap(S, m) on first use too, and these two are the only memos.  The small
+elements and the gaps are read off Ap(S, m) on each call.  Two edits check
 a candidate, both the same way, and neither costs more as F grows: each
 builds a semigroup that contains the result by the round robin and
 accepts it iff it has as many gaps as the result must have.  adjoin
@@ -81,15 +82,17 @@ class NumericalSemigroup:
 
     Attributes
     ----------
-    min_generators : tuple of int, the unique minimal generating set
-    small_elements : tuple of int, all members <= frobenius + 1
+    min_generators : tuple of int, the unique minimal generating set (memoised)
+    small_elements : tuple of int, all members <= frobenius + 1 (read off Ap(S, m))
+    gaps : tuple of int, all positive nonmembers (read off Ap(S, m))
     frobenius : int, largest gap (-1 for the full monoid)
     genus : int, number of gaps
     multiplicity : int, smallest nonzero member
     """
 
-    __slots__ = ("_msg", "frobenius", "genus", "multiplicity",
-                 "_apery", "_pf", "_small", "_gaps")
+    __slots__ = ("_msg",  # memo: read by every sort key, by PF and by str
+                 "frobenius", "genus", "multiplicity", "_apery",
+                 "_pf")  # memo: read twice per large_f query (pseudo_frobenius, pertinent_sets)
 
     def __new__(cls, *generators):
         if len(generators) == 1 and not isinstance(generators[0], int):
@@ -166,25 +169,19 @@ class NumericalSemigroup:
 
     def elements(self, limit: int):
         """Iterate the members x with 0 <= x <= limit in increasing order."""
-        for x in range(limit + 1):
-            if x in self:
-                yield x
+        m, ap = self.multiplicity, self._apery
+        return (x for x in range(limit + 1) if x >= ap[x % m])
 
     @property
     def small_elements(self) -> tuple[int, ...]:
-        """All members up to F+1 (up to 1 for the full monoid), derived on first use."""
-        if self._small is None:
-            top = max(self.frobenius + 1, self.multiplicity)
-            _set_small(self, tuple(self.elements(top)))
-        return self._small
+        """All members up to F+1 (up to 1 for the full monoid), read off Ap(S, m) on each call."""
+        return tuple(self.elements(max(self.frobenius + 1, self.multiplicity)))
 
     @property
     def gaps(self) -> tuple[int, ...]:
-        """All positive integers outside the semigroup, derived on first use."""
-        if self._gaps is None:
-            gaps = tuple(x for x in range(1, self.frobenius + 1) if x not in self)
-            _set_gaps(self, gaps)
-        return self._gaps
+        """All positive integers outside the semigroup, read off Ap(S, m) on each call."""
+        m, ap = self.multiplicity, self._apery
+        return tuple(x for x in range(1, self.frobenius + 1) if x < ap[x % m])
 
     @property
     def is_whole(self) -> bool:
@@ -401,14 +398,12 @@ def _from_apery(m, ap, msg=None) -> NumericalSemigroup:
     _set_multiplicity(s, m)
     _set_apery(s, ap)
     _set_pf(s, None)
-    _set_small(s, None)
-    _set_gaps(s, None)
     return s
 
 
 # The slot setters, bound once: __setattr__ refuses every write.
-(_set_msg, _set_frobenius, _set_genus, _set_multiplicity, _set_apery, _set_pf, _set_small,
- _set_gaps) = (getattr(NumericalSemigroup, name).__set__ for name in NumericalSemigroup.__slots__)
+(_set_msg, _set_frobenius, _set_genus, _set_multiplicity, _set_apery, _set_pf) = (
+    getattr(NumericalSemigroup, name).__set__ for name in NumericalSemigroup.__slots__)
 
 
 def _generators_above(ap, bound) -> tuple[int, ...]:

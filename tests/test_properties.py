@@ -167,7 +167,7 @@ def test_pertinent_sets_match_the_subset_filter(s):
 
 
 def same_semigroup(trusted, checked):
-    """A construction without a Kunz pass against a closure-checked one."""
+    """A construction that checks nothing against a closure-checked one."""
     assert trusted._apery == checked._apery
     assert trusted.min_generators == checked.min_generators
 
@@ -228,8 +228,9 @@ def truncated_semigroups(draw):
 @given(semigroups(), truncated_semigroups())
 def test_extend_matches_the_checked_adjoin(above, below):
     # adjoin builds by the round robin and checks by the genus; from_gaps raises
-    # Ap(S, n) and runs the Kunz pass.  A draw of high type has tens of thousands
-    # of pertinent sets: check ∅, PF(S) and at most 64 others at a fixed stride
+    # Ap(S, n), builds by the round robin and accepts by the genus too.  A draw
+    # of high type has tens of thousands of pertinent sets: check ∅, PF(S) and
+    # at most 64 others at a fixed stride
     for s in (above, below):
         empty, *inner, whole = [p.members for p in pertinent_sets(s)]
         for a in (empty, whole, *inner[::len(inner) // 64 + 1]):

@@ -389,7 +389,7 @@ def test_large_two_generator_semigroup_is_fast():
     lambda: NumericalSemigroup(2 * 10**6, 2 * 10**6 + 1),  # F over the guard too
 ], ids=["generators", "gaps", "huge"])
 def test_multiplicity_guard_fires_before_the_kunz_pass(build):
-    # Ap(S, m) has m entries and the Kunz pass m² steps: refuse m first
+    # Ap(S, m) has m entries and the round robin up to m·e steps: refuse m first
     start = time.process_time()
     with pytest.raises(MultiplicityTooLarge):
         build()
@@ -463,3 +463,15 @@ def test_round_robin_builds_keep_their_generators(monkeypatch):
     link = _gamma_step(NumericalSemigroup(1001, 1003))
     assert pickle.loads(pickle.dumps(link)) == link
     assert calls == []
+
+
+def test_generators_and_pf_stay_memoised():
+    # the two memos the workloads re-read: PF twice per large_f query
+    # (pseudo_frobenius, then pertinent_sets), the minimal generators by
+    # every sort key, by PF and by str; a gamma link derives both on first use
+    s = NumericalSemigroup(10, 13, 17)
+    link = _gamma_step(s)
+    assert link._msg is None
+    for t in (s, link):
+        assert t.pseudo_frobenius() is t.pseudo_frobenius()
+        assert t.min_generators is t.min_generators
