@@ -1,10 +1,13 @@
 """Command line front end.
 
 Eight subcommands cover the whole library: info, extensions, chain,
-complexity, enumerate, tree-dot, verify and search-pf-gap.  Output is
-deterministic; data-emitting commands take --json, whose payloads follow
-schemas/cli_output.v1.json.  Exit codes: 0 success, 1 a verify check
-found a discrepancy, 2 usage or input errors.
+complexity, enumerate, tree-dot, verify and search-pf-gap.  Each cmd_*
+handler returns its JSON payload and its text lines, the lines lazily, so
+a --json run formats no text.  Only main writes stdout: the payload under
+--json (shapes in schemas/cli_output.v1.json), else the lines, once the
+result is complete.  Output is deterministic.  main also sets the exit
+code: 0 success, 1 a verify check found a discrepancy, 2 usage or input
+errors.
 """
 from __future__ import annotations
 
@@ -40,8 +43,7 @@ def _semigroup_from(args, parser) -> NumericalSemigroup:
     return NumericalSemigroup.parse(args.semigroup)
 
 
-def _msg_line(s: NumericalSemigroup, gap_style: bool) -> str:
-    gens = s.min_generators
+def _msg_line(gens, gap_style: bool) -> str:
     if gap_style:
         return "[ " + ", ".join(str(g) for g in gens) + " ]"
     return "[" + ",".join(str(g) for g in gens) + "]"
@@ -65,84 +67,59 @@ def _add_semigroup_args(sub):
                      help="build the semigroup from its gap set, e.g. 1,2,3,4,7")
 
 
-def cmd_info(args, parser) -> int:
+def cmd_info(args, parser):
     s = _semigroup_from(args, parser)
-    if args.json:
-        print(json.dumps(s.to_dict()))
-        return 0
-    print(f"semigroup: {s}")
-    print(f"multiplicity: {s.multiplicity}")
-    print(f"frobenius: {s.frobenius}")
-    print(f"genus: {s.genus}")
-    print("small elements: " + ",".join(str(x) for x in s.small_elements))
-    print("gaps: " + (",".join(str(x) for x in s.gaps) or "-"))
-    if s.is_whole:
-        print("pseudo-frobenius: -")
-    else:
-        pf = s.pseudo_frobenius()
-        print("pseudo-frobenius: " + ",".join(str(x) for x in pf))
-        print(f"type: {len(pf)}")
-    print(f"complexity: {complexity(s)}")
-    print(f"class: {classify(s).value}")
-    return 0
+    d = s.to_dict()
+
+    def lines():
+        yield f"semigroup: {s}"
+        for key in ("multiplicity", "frobenius", "genus"):
+            yield f"{key}: {d[key]}"
+        yield "small elements: " + ",".join(str(x) for x in d["small_elements"])
+        yield "gaps: " + (",".join(str(x) for x in s.gaps) or "-")
+        if d["pf"] is None:
+            yield "pseudo-frobenius: -"
+        else:
+            yield "pseudo-frobenius: " + ",".join(str(x) for x in d["pf"])
+            yield f"type: {len(d['pf'])}"
+        yield f"complexity: {complexity(s)}"
+        yield f"class: {classify(s).value}"
+    return d, lines()
 
 
-def cmd_extensions(args, parser) -> int:
+def cmd_extensions(args, parser):
     s = _semigroup_from(args, parser)
-    exts = ideal_extensions(s, proper=args.proper)
-    if args.json:
-        print(json.dumps([list(d.min_generators) for d in exts]))
-        return 0
-    for d in exts:
-        print(_msg_line(d, args.gap_style))
-    return 0
+    exts = [list(e.min_generators) for e in ideal_extensions(s, proper=args.proper)]
+    return exts, (_msg_line(gens, args.gap_style) for gens in exts)
 
 
-def cmd_chain(args, parser) -> int:
+def cmd_chain(args, parser):
     s = _semigroup_from(args, parser)
     theta = ThetaMap(args.theta)
-    links = chain(theta, s).links
-    if args.json:
-        print(json.dumps({"theta": theta.value,
-                          "links": [list(l.min_generators) for l in links],
-                          "length": len(links) - 1}))
-        return 0
-    shown = links if args.full else links[1:]
-    for link in shown:
-        print(_msg_line(link, args.gap_style))
-    return 0
+    links = [list(link.min_generators) for link in chain(theta, s).links]
+    return ({"theta": theta.value, "links": links, "length": len(links) - 1},
+            (_msg_line(gens, args.gap_style) for gens in links[0 if args.full else 1:]))
 
 
-def cmd_complexity(args, parser) -> int:
+def cmd_complexity(args, parser):
     s = _semigroup_from(args, parser)
     c = complexity(s)
-    if args.json:
-        print(json.dumps({"generators": list(s.min_generators), "complexity": c}))
-        return 0
-    print(c)
-    return 0
+    return {"generators": list(s.min_generators), "complexity": c}, (str(c),)
 
 
-def cmd_enumerate(args, parser) -> int:
+def cmd_enumerate(args, parser):
     if args.count:
-        print(count(args.multiplicity, args.complexity, max_nodes=_node_cap()))
-        return 0
-    found = enumerate_semigroups(args.multiplicity, args.complexity,
-                                 max_nodes=_node_cap())
-    if args.json:
-        print(json.dumps([list(s.min_generators) for s in found]))
-        return 0
-    for s in found:
-        print(_msg_line(s, args.gap_style))
-    return 0
+        return None, (str(count(args.multiplicity, args.complexity, max_nodes=_node_cap())),)
+    found = [list(s.min_generators) for s in enumerate_semigroups(
+        args.multiplicity, args.complexity, max_nodes=_node_cap())]
+    return found, (_msg_line(gens, args.gap_style) for gens in found)
 
 
-def cmd_tree_dot(args, parser) -> int:
-    sys.stdout.write(export_dot(args.multiplicity, args.depth, _node_cap()))
-    return 0
+def cmd_tree_dot(args, parser):
+    return None, export_dot(args.multiplicity, args.depth, _node_cap()).splitlines()
 
 
-def cmd_verify(args, parser) -> int:
+def cmd_verify(args, parser):
     names = [n.strip() for n in args.checks.split(",") if n.strip()]
     if not names:
         parser.error(f"no check given; choose from {','.join(CHECKS)}")
@@ -157,27 +134,16 @@ def cmd_verify(args, parser) -> int:
         if detail is not None:
             break
     ok = all(r["ok"] for r in results)
-    if args.json:
-        print(json.dumps({"max_genus": args.max_genus, "ok": ok, "checks": results}))
-    else:
-        for r in results:
-            if r["ok"]:
-                print(f"check {r['name']}: ok (genus <= {args.max_genus})")
-            else:
-                print(f"check {r['name']}: FAIL {r['detail']}")
-    return 0 if ok else 1
+    return ({"max_genus": args.max_genus, "ok": ok, "checks": results},
+            (f"check {r['name']}: ok (genus <= {args.max_genus})" if r["ok"]
+             else f"check {r['name']}: FAIL {r['detail']}" for r in results))
 
 
-def cmd_search_pf_gap(args, parser) -> int:
+def cmd_search_pf_gap(args, parser):
     hits = pf_gap_search(args.max_genus)
-    if args.json:
-        print(json.dumps([{"generators": list(s.min_generators),
-                           "complexity": c, "mu_pf": steps}
-                          for s, c, steps in hits]))
-        return 0
-    for s, c, steps in hits:
-        print(f"{s} complexity={c} mu_pf={steps}")
-    return 0
+    return ([{"generators": list(s.min_generators), "complexity": c, "mu_pf": steps}
+             for s, c, steps in hits],
+            (f"{s} complexity={c} mu_pf={steps}" for s, c, steps in hits))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -232,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("tree-dot", help="genealogy tree as a DOT digraph")
     p.add_argument("-m", "--multiplicity", type=int, required=True)
     p.add_argument("--depth", type=int, required=True)
-    p.set_defaults(func=cmd_tree_dot)
+    p.set_defaults(func=cmd_tree_dot, json=False)
 
     p = subs.add_parser("verify",
                         help="certify closed forms against brute force")
@@ -255,10 +221,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        payload, lines = args.func(args, parser)
+        if args.json:
+            print(json.dumps(payload))
+        else:
+            for line in lines:
+                print(line)
     except (SemigroupError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 1 if args.command == "verify" and not payload["ok"] else 0
 
 
 if __name__ == "__main__":

@@ -270,7 +270,8 @@ class NumericalSemigroup:
         R, O(n + |R|) in all, giving the least member of S ∖ R per class.
         So <n, raised set> contains S ∖ R; built by the round robin, which
         keeps its minimal generators, it equals S ∖ R, and S ∖ R is closed,
-        iff it has g(S) + |R| gaps.
+        iff it has g(S) + |R| gaps.  On a refusal, each raised class is an
+        up-set unless a removed member lies above its new least member.
         """
         if max(removed, default=0) > MAX_FROBENIUS:
             raise FrobeniusTooLarge(f"Frobenius number {max(removed)} exceeds {MAX_FROBENIUS}")
@@ -285,7 +286,7 @@ class NumericalSemigroup:
                 ap[x % n] += n
         s, gaps = _from_generators({n, *ap[1:]}), self.genus + len(removed)
         if s.genus != gaps:
-            _refuse(*_witness(n, ap, member, removed, _from_apery(n, ap).genus == gaps))
+            _refuse(*_witness(n, ap, member, removed, all(x < ap[x % n] for x in removed)))
         return s
 
     # -- canonical form ----------------------------------------------------

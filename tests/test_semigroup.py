@@ -388,7 +388,7 @@ def test_large_two_generator_semigroup_is_fast():
     lambda: from_gaps(range(1, 5000)),
     lambda: NumericalSemigroup(2 * 10**6, 2 * 10**6 + 1),  # F over the guard too
 ], ids=["generators", "gaps", "huge"])
-def test_multiplicity_guard_fires_before_the_kunz_pass(build):
+def test_multiplicity_guard_fires_before_the_round_robin(build):
     # Ap(S, m) has m entries and the round robin up to m·e steps: refuse m first
     start = time.process_time()
     with pytest.raises(MultiplicityTooLarge):
