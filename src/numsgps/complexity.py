@@ -22,9 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import WholeMonoid
+from .errors import ChainTooLong, WholeMonoid
 from .extensions import is_ideal_extension
 from .semigroup import WHOLE, NumericalSemigroup, _from_apery
+
+# A chain keeps every link, and a gamma chain has ⌊F/m⌋ + 2 of them, up to
+# 2^39 + 1 within MAX_FROBENIUS; at about 0.4 kB a link (<2,200001>: 10^5
+# links, about 40 MB) a longer chain is refused before it is built.
+MAX_CHAIN_LINKS = 1 << 17
 
 
 class ThetaMap(Enum):
@@ -89,14 +94,21 @@ def theta_apply(theta: ThetaMap, s: NumericalSemigroup) -> frozenset[int]:
 
 
 def chain(theta: ThetaMap, s: NumericalSemigroup) -> IChain:
-    """Iterate S ← S ∪ θ(S) until the full monoid; the run is an i-chain."""
+    """Iterate S ← S ∪ θ(S) until the full monoid; the run is an i-chain.
+
+    Raises ChainTooLong for a chain of more than MAX_CHAIN_LINKS links,
+    and for gamma, whose C(S) + 1 links are known, before the first step.
+    """
     step = _gamma_step if theta is ThetaMap.GAMMA else lambda t: t.adjoin(theta_apply(theta, t))
-    links = [s]
-    cur = s
+    # a gamma chain has C(S) + 1 links, so one past the cap stops at its first link
+    cap = 1 if theta is ThetaMap.GAMMA and complexity(s) >= MAX_CHAIN_LINKS else MAX_CHAIN_LINKS
+    links, cur = [s], s
     while not cur.is_whole:
         if len(links) > s.genus + 1:
             # each step strictly shrinks the gap set, so this cannot happen
             raise RuntimeError(f"selection {theta} failed to terminate on {s}")
+        if len(links) == cap:
+            raise ChainTooLong(f"chain of {s} exceeds {MAX_CHAIN_LINKS} links")
         cur = step(cur)
         links.append(cur)
     return IChain(tuple(links))

@@ -46,3 +46,7 @@ class FrobeniusTooLarge(SemigroupError):
 
 class MultiplicityTooLarge(SemigroupError):
     """The multiplicity of the requested semigroup exceeds the guard."""
+
+
+class ChainTooLong(SemigroupError):
+    """A chain would have more links than the configured guard."""

@@ -4,10 +4,15 @@ Everything here recomputes an answer from first principles so the fast
 implementations can be checked against it on small instances: a complete
 catalog of semigroups up to a genus bound, pseudo-Frobenius numbers
 straight from the definition, ideal extensions by filtering all 2^t
-subsets with an explicit closure test (each one that passes is built
-from its own least member per class, not through adjoin or from_gaps),
-and the minimal i-chain length by a memoised recursion over the extension
-graph, which is acyclic because every proper extension has fewer gaps.
+subsets with an explicit closure test over every pair (run on one int
+bitset per candidate; each candidate that passes is built from its own
+least member per class, not through adjoin or from_gaps), and the
+minimal i-chain length by a memoised recursion over the extension graph,
+which is acyclic because every proper extension has fewer gaps.  The
+catalog walks the genus tree on Apéry sets: removing a minimal generator
+x > F from S is closed by proof, so each child is built by raising one
+Apéry element, with no checked without; check_tree's multiplicity tree,
+whose children are checked, and the known counts n_g certify the walk.
 The search for semigroups where the full PF selection overshoots the
 complexity walks the catalog by ascending genus and reads each chain
 length off the entry for S ∪ PF(S), built unchecked since PF(S) is
@@ -15,11 +20,9 @@ pertinent.  The ``verify`` CLI command and the test suite both run these.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import count
 
 from .complexity import ThetaMap, complexity, mu, theta_apply
 from .errors import GenusTooLarge, TypeTooLarge, WholeMonoid
@@ -53,20 +56,31 @@ def enumerate_by_genus(max_genus: int) -> GenusCatalog:
     Each semigroup of genus g+1 is some genus-g semigroup minus a single
     minimal generator exceeding its Frobenius number, and arises that way
     exactly once, so the walk is complete and duplicate-free (``check_tree``
-    certifies the latter).
+    certifies the latter).  Each child is built by proof (_genus_edges),
+    with no closure check.
     """
     if max_genus < 0:
         raise ValueError("genus bound must be nonnegative")
     if max_genus > MAX_CATALOG_GENUS:
         raise GenusTooLarge(
             f"genus {max_genus} exceeds the catalog guard {MAX_CATALOG_GENUS}")
-
-    def edges(s):
-        return [(s.without({x}), x) for x in s.min_generators if x > s.frobenius]
-
     return GenusCatalog(max_genus, tuple(
         tuple(sorted((s for _, s, _ in lvl), key=lambda s: s.min_generators))
-        for lvl in _walk(WHOLE, edges, max_genus, DEFAULT_NODE_CAP)))
+        for lvl in _walk(WHOLE, _genus_edges, max_genus, DEFAULT_NODE_CAP)))
+
+
+def _genus_edges(s: NumericalSemigroup):
+    """(S ∖ {x}, x) for each minimal generator x > F, ascending, built from Ap(S, m).
+
+    Removing x ≠ m leaves m the multiplicity and raises w_{x mod m} = x by
+    m, since x + m is a member.  x = m exceeds F only when S is ordinary or
+    ℕ, and S ∖ {m} is then the ordinary semigroup of multiplicity m + 1.
+    """
+    m, ap = s.multiplicity, s._apery
+    for x in s.min_generators:
+        if x > s.frobenius:
+            yield (_from_apery(m + 1, (0, *range(m + 2, 2 * m + 2))) if x == m
+                   else _from_apery(m, (*ap[:x % m], x + m, *ap[x % m + 1:]))), x
 
 
 def pf_bruteforce(s: NumericalSemigroup) -> set[int]:
@@ -84,27 +98,32 @@ def pf_bruteforce(s: NumericalSemigroup) -> set[int]:
 def extensions_bruteforce(s: NumericalSemigroup) -> list[NumericalSemigroup]:
     """Every semigroup between s and s ∪ PF(s), by trying all 2^t unions.
 
-    Independent of the pertinence shortcut: each candidate set gets a
-    direct closure test over all pairs of nonzero elements, and one that
-    passes it is built from its least member per residue class by
-    _from_apery, with no round robin and no checked edit.
+    Independent of the pertinence shortcut: each candidate gets a direct
+    closure test over all pairs of nonzero members.  The members up to F
+    are the bits of one int, and the candidates come one at a time in
+    Gray-code order (step k flips the PF member indexed by the lowest set
+    bit of k), so O(t) ints are held, never 2^t.  A pair a ≤ b with
+    a + b ≤ F has a ≤ F/2, and a sum past F is a member, so a candidate
+    is closed iff (cand << a) & ~cand has no bit up to F for every member
+    a with m ≤ a ≤ F/2, m its least nonzero member.  Ap(cand, m) is read
+    off the bits class by class, and a candidate that passes is built from
+    it by _from_apery, with no round robin and no checked edit.
     """
     if s.is_whole:
         raise WholeMonoid("the full monoid is its only extension")
     pf = sorted(pf_bruteforce(s))
     if len(pf) > MAX_ORACLE_TYPE:
         raise TypeTooLarge(f"type {len(pf)} exceeds the oracle guard")
-    f = s.frobenius
-    base = set(s.small_elements)
-    out = []
-    for mask in range(1 << len(pf)):
-        cand = base | {pf[i] for i in range(len(pf)) if mask >> i & 1}
-        nonzero = sorted(x for x in cand if 0 < x <= f)
-        if all(a + b in cand for i, a in enumerate(nonzero)
-               for b in nonzero[i:bisect_right(nonzero, f - a)]):
-            m = min(nonzero, default=f + 1)  # least member per class mod m; all past F are in
-            out.append(_from_apery(m, tuple(next(x for x in count(i, m) if x in cand or x > f)
-                                            for i in range(m))))
+    f, out = s.frobenius, []
+    low = (1 << f + 1) - 1  # bits 0..F
+    cand = sum(1 << x for x in s.small_elements if x <= f)
+    flips = [1 << x for x in pf]
+    for k in range(1 << len(pf)):
+        cand ^= k and flips[(k & -k).bit_length() - 1]  # k = 0 tests s itself
+        bits = bin(cand | low << f + 1)[:1:-1]  # LSB first, with F+1..2F+1 in
+        m, holes = bits.index("1", 1), cand ^ low
+        if not any(cand << a & holes for a in range(m, f // 2 + 1) if bits[a] == "1"):
+            out.append(_from_apery(m, tuple(i + m * bits[i::m].index("1") for i in range(m))))
     out.sort(key=lambda d: (-d.genus, d.min_generators))
     return out
 

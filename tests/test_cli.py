@@ -279,7 +279,8 @@ def test_library_has_no_assert_statement():
     (["info", "<5000,5001>"], "error: multiplicity 5000 exceeds 4096"),
     (["info", "--gaps", "2199023255552"],
      "error: Frobenius number 2199023255552 exceeds 1099511627776"),
-], ids=["not-a-semigroup", "multiplicity-too-large", "frobenius-too-large"])
+    (["chain", "<2,1099511627777>"], "error: chain of <2,1099511627777> exceeds 131072 links"),
+], ids=["not-a-semigroup", "multiplicity-too-large", "frobenius-too-large", "chain-too-long"])
 def test_guards_fire_under_python_O(argv, message):
     proc = python("-O", "-m", "numsgps.cli", *argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message + "\n")

@@ -2,10 +2,11 @@ import copy
 
 import pytest
 
-from numsgps import oracle
+from numsgps import extensions, oracle, semigroup
 from numsgps.complexity import ThetaMap, complexity, mu
 from numsgps.errors import GenusTooLarge, WholeMonoid
 from numsgps.extensions import ideal_extensions
+from numsgps.genealogy import DEFAULT_NODE_CAP, _walk
 from numsgps.genealogy import child_edges as genuine_child_edges
 from numsgps.oracle import (CHECKS, GenusCatalog, check_complexity,
                             check_extensions, check_pf, check_tree,
@@ -21,6 +22,23 @@ def test_catalog_counts_match_known_sequence():
     cat = enumerate_by_genus(12)
     assert tuple(cat.counts()) == GENUS_COUNTS
     assert len(cat.semigroups) == sum(GENUS_COUNTS)
+
+
+def test_genus_walk_by_proof_matches_the_checked_walk():
+    # every parent of genus <= 10, node by node: the child built from
+    # Ap(S, m) equals the one the closure-checked without builds
+    def checked(s):
+        return [(s.without({x}), x) for x in s.min_generators if x > s.frobenius]
+
+    def nodes(lvl):
+        return [(t, x, c._apery, c.min_generators) for t, c, x in lvl]
+    levels = zip(_walk(WHOLE, oracle._genus_edges, 11, DEFAULT_NODE_CAP),
+                 _walk(WHOLE, checked, 11, DEFAULT_NODE_CAP), strict=True)
+    sizes = []
+    for proof, check in levels:
+        assert nodes(proof) == nodes(check)
+        sizes.append(len(proof))
+    assert tuple(sizes) == GENUS_COUNTS[:12]
 
 
 def test_catalog_small_levels():
@@ -89,9 +107,15 @@ def test_extension_routes_never_edit(catalog8, monkeypatch):
         raise AssertionError("checked edit called")
     monkeypatch.setattr(NumericalSemigroup, "adjoin", refuse)
     monkeypatch.setattr(NumericalSemigroup, "_without", refuse)
-    for s in catalog8.semigroups:
-        if not s.is_whole:
-            assert extensions_bruteforce(s) == ideal_extensions(s), s
+    fast = {s: ideal_extensions(s) for s in catalog8.semigroups if not s.is_whole}
+    # nor does the oracle share the fast route's pertinence or round robin
+    for name in ("pertinent_sets", "is_pertinent", "_extend"):
+        monkeypatch.setattr(extensions, name, refuse)
+    monkeypatch.setattr(oracle, "_extend", refuse)
+    monkeypatch.setattr(oracle, "ideal_extensions", refuse)
+    monkeypatch.setattr(semigroup, "_from_generators", refuse)
+    for s, exts in fast.items():
+        assert extensions_bruteforce(s) == exts, s
 
 
 def test_min_ichain_bfs():
