@@ -64,6 +64,11 @@ def pertinent_sets(s: NumericalSemigroup) -> list[PertinentSet]:
     other may go either way.  Each choice only constrains larger members,
     so every subset built is pertinent and none is built twice.
     """
+    return [PertinentSet(s, ms) for ms in _pertinent(s)]
+
+
+def _pertinent(s: NumericalSemigroup) -> list[tuple[int, ...]]:
+    """pertinent_sets as bare member tuples, () first, in the same order."""
     if s.is_whole:
         raise WholeMonoid("pertinence is undefined for the full monoid")
     pf = s.pseudo_frobenius()
@@ -74,7 +79,7 @@ def pertinent_sets(s: NumericalSemigroup) -> list[PertinentSet]:
     for x in pf:
         found = [a + (x,) for a in found] + [a for a in found if not any(x - y in a for y in a)]
     found.sort(key=lambda ms: (len(ms), ms))
-    return [PertinentSet(s, ms) for ms in found]
+    return found
 
 
 def ideal_extensions(s: NumericalSemigroup, proper: bool = False) -> list[NumericalSemigroup]:
@@ -84,9 +89,8 @@ def ideal_extensions(s: NumericalSemigroup, proper: bool = False) -> list[Numeri
     descending then msg lexicographic, so s comes first and the largest
     extension s ∪ PF(s) last.
     """
-    out = [_extend(s, p.members) for p in pertinent_sets(s)]
-    if proper:
-        out = [d for d in out if d != s]
+    found = _pertinent(s)
+    out = [_extend(s, a) for a in (found[1:] if proper else found)]  # () is s itself
     out.sort(key=lambda d: (-d.genus, d.min_generators))
     return out
 

@@ -11,7 +11,9 @@ enumerates them all.
 
 The walk runs on Apéry tuples Ap(T, m): removing the generator w_i raises
 w_i by m, so count and export_dot build no semigroup object past the root,
-and level and enumerate build only the last level.  A node's removable
+and level and enumerate build only the last level.  count does not build
+its last level at all: it stops one level short and counts 2^k − 1
+children for each node with k removable generators.  A node's removable
 generators are the w_i above ⌊max w/m⌋·m that are no sum of two nonzero
 members, found by semigroup._generators_above, the rule that derives every
 instance's minimal generators; export_dot names each node by the same rule
@@ -112,11 +114,14 @@ def _walk(first, edges, depth: int, max_nodes: int, name=None):
             for child, label in edges(t):
                 built += 1
                 if built > max_nodes:
-                    raise LevelTooLarge(
-                        f"tree below {name or first} exceeds the cap of {max_nodes} nodes")
+                    raise _too_large(name or first, max_nodes)
                 nxt.append((t, child, label))
         lvl = nxt
     yield lvl
+
+
+def _too_large(name, max_nodes):
+    return LevelTooLarge(f"tree below {name} exceeds the cap of {max_nodes} nodes")
 
 
 def _last_level(m, c, max_nodes):
@@ -148,8 +153,22 @@ def enumerate_semigroups(m: int, c: int,
 
 
 def count(m: int, c: int, max_nodes: int = DEFAULT_NODE_CAP) -> int:
-    """How many semigroups have multiplicity m and complexity c."""
-    return len(_last_level(m, c, max_nodes))
+    """How many semigroups have multiplicity m and complexity c.
+
+    The last level is counted, not built: a node with k removable
+    generators has exactly 2^k − 1 children, one per nonempty subset, so
+    the walk stops one level short and sums those.  The node cap covers
+    the counted level as if it were built.
+    """
+    if c < 2:
+        return len(_last_level(m, c, max_nodes))
+    r, built = root(m), 0
+    for lvl in _walk(r._apery, _apery_edges, c - 2, max_nodes, r):
+        built += len(lvl)
+    leaves = sum(2 ** len(_candidates(ap)) - 1 for _, ap, _ in lvl)
+    if built + leaves > max_nodes:
+        raise _too_large(r, max_nodes)
+    return leaves
 
 
 def shift_embed(s: NumericalSemigroup) -> NumericalSemigroup:

@@ -8,11 +8,13 @@ subsets with an explicit closure test over every pair (run on one int
 bitset per candidate; each candidate that passes is built from its own
 least member per class, not through adjoin or from_gaps), and the
 minimal i-chain length by a memoised recursion over the extension graph,
-which is acyclic because every proper extension has fewer gaps.  The
-catalog walks the genus tree on Apéry sets: removing a minimal generator
-x > F from S is closed by proof, so each child is built by raising one
-Apéry element, with no checked without; check_tree's multiplicity tree,
-whose children are checked, and the known counts n_g certify the walk.
+which is acyclic because every proper extension has fewer gaps.  The memo
+is keyed by gap set, which S ∪ A gives as the gaps of S less A, so an
+extension is built only on the first visit to its key.  The catalog walks
+the genus tree on Apéry sets: removing a minimal generator x > F from S
+is closed by proof, so each child is built by raising one Apéry element,
+with no checked without; check_tree's multiplicity tree, whose children
+are checked, and the known counts n_g certify the walk.
 The search for semigroups where the full PF selection overshoots the
 complexity walks the catalog by ascending genus and reads each chain
 length off the entry for S ∪ PF(S), built unchecked since PF(S) is
@@ -22,11 +24,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
 
 from .complexity import ThetaMap, complexity, mu, theta_apply
 from .errors import GenusTooLarge, TypeTooLarge, WholeMonoid
-from .extensions import _extend, ideal_extensions
+from .extensions import _extend, _pertinent, ideal_extensions
 from .genealogy import DEFAULT_NODE_CAP, _walk, child_edges, root
 from .semigroup import WHOLE, NumericalSemigroup, _from_apery
 
@@ -134,21 +135,33 @@ def min_ichain_bfs(s: NumericalSemigroup) -> int:
     Found without the closed form, by recursion over the ideal-extension
     graph: 0 for the full monoid, otherwise one more than the least value
     over the proper extensions of s.  The graph is acyclic (a proper
-    extension has fewer gaps) and results are memoised across calls.
+    extension has fewer gaps) and results are memoised across calls, keyed
+    by gap set: S ∪ A has the gaps of S less A, so each pertinent A gives
+    its extension's key without building it, and the extension is built
+    only on the first visit to that key.
     """
     if s.genus > MAX_BFS_GENUS:
         raise GenusTooLarge(
             f"genus {s.genus} exceeds the BFS guard {MAX_BFS_GENUS}")
-    return _shortest(s)
+    return _shortest(s, sum(1 << g for g in s.gaps))
 
 
+# Shortest chain length by gap set, one bit per gap; 0 is the full monoid.
 # A proper extension has fewer gaps, so the extension graph is acyclic and
 # the recursion ends.  Every node it reaches has genus at most the input's,
-# which the guard keeps within MAX_BFS_GENUS = 10, so the cache holds at
+# which the guard keeps within MAX_BFS_GENUS = 10, so the memo holds at
 # most the 478 semigroups of the genus-10 catalog.
-@cache
-def _shortest(s: NumericalSemigroup) -> int:
-    return 0 if s.is_whole else 1 + min(map(_shortest, ideal_extensions(s, proper=True)))
+_steps = {0: 0}
+
+
+def _shortest(s: NumericalSemigroup, gaps: int) -> int:
+    if gaps not in _steps:
+        steps = []
+        for a in _pertinent(s)[1:]:  # () is s itself
+            key = gaps & ~sum(1 << x for x in a)
+            steps.append(_steps[key] if key in _steps else _shortest(_extend(s, a), key))
+        _steps[gaps] = 1 + min(steps)
+    return _steps[gaps]
 
 
 def pf_gap_search(max_genus: int) -> list[tuple[NumericalSemigroup, int, int]]:

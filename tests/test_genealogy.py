@@ -176,6 +176,27 @@ def test_count_honours_the_node_cap():
     assert count(2, 10, max_nodes=10) == 1
 
 
+def test_count_of_the_last_level_matches_building_it():
+    # count sums 2^k - 1 over the level above; level and the Kunz scan build or scan it
+    for m in range(2, 8):
+        for c in range(1, 6):
+            assert count(m, c) == len(level(m, c - 1).members) == kunz_count(m, c), (m, c)
+
+
+def test_count_cap_covers_the_counted_level():
+    # G(4) down to depth 2 has 1 + 7 + 15 nodes, the last 15 counted, not built
+    for walk in (count, lambda m, c, max_nodes: level(m, c - 1, max_nodes)):
+        with pytest.raises(LevelTooLarge, match="tree below <4,5,6,7> exceeds the cap of 22 nodes"):
+            walk(4, 3, max_nodes=22)
+    assert count(4, 3, max_nodes=23) == len(level(4, 2, max_nodes=23).members) == 15
+
+
+def test_count_does_not_build_its_last_level():
+    start = time.process_time()
+    assert count(20, 2) == 2 ** 19 - 1
+    assert time.process_time() - start < 0.05
+
+
 @pytest.mark.parametrize("walk", [lambda: count(20, 2, max_nodes=10),
                                   lambda: export_dot(20, 1, max_nodes=10)],
                          ids=["count", "export_dot"])

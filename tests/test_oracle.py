@@ -109,7 +109,7 @@ def test_extension_routes_never_edit(catalog8, monkeypatch):
     monkeypatch.setattr(NumericalSemigroup, "_without", refuse)
     fast = {s: ideal_extensions(s) for s in catalog8.semigroups if not s.is_whole}
     # nor does the oracle share the fast route's pertinence or round robin
-    for name in ("pertinent_sets", "is_pertinent", "_extend"):
+    for name in ("pertinent_sets", "_pertinent", "is_pertinent", "_extend"):
         monkeypatch.setattr(extensions, name, refuse)
     monkeypatch.setattr(oracle, "_extend", refuse)
     monkeypatch.setattr(oracle, "ideal_extensions", refuse)
@@ -136,6 +136,59 @@ def test_min_ichain_bfs_guard():
 def test_min_ichain_matches_complexity(catalog10):
     for s in catalog10.semigroups:
         assert min_ichain_bfs(s) == complexity(s), s
+
+
+def _gap_bits(s):
+    return sum(1 << g for g in s.gaps)
+
+
+def test_extension_gaps_are_the_gaps_less_a(catalog10):
+    # the identity the shortest-chain memo keys on: S ∪ A has the gaps of S less A
+    for s in catalog10.semigroups:
+        if s.is_whole:
+            continue
+        for p in extensions.pertinent_sets(s):
+            mask = sum(1 << x for x in p.members)
+            assert _gap_bits(extensions._extend(s, p.members)) == _gap_bits(s) & ~mask, (s, p)
+
+
+def _counting_extend(monkeypatch):
+    """Empty the shortest-chain memo and record each extension it builds."""
+    built = []
+
+    def counted(s, a):
+        built.append(extensions._extend(s, a))
+        return built[-1]
+    monkeypatch.setattr(oracle, "_steps", {0: 0})
+    monkeypatch.setattr(oracle, "_extend", counted)
+    return built
+
+
+def test_min_ichain_bfs_builds_nothing_in_catalog_order(catalog10, monkeypatch):
+    # by ascending genus every proper extension is already in the memo
+    built = _counting_extend(monkeypatch)
+    for s in catalog10.semigroups:
+        assert min_ichain_bfs(s) == complexity(s), s
+    assert built == []
+    assert len(oracle._steps) == len(catalog10.semigroups) == 478
+
+
+def test_min_ichain_bfs_builds_each_reached_semigroup_once(catalog10, monkeypatch):
+    def reached(s):
+        seen, todo = {s}, [s]
+        while todo:
+            t = todo.pop()
+            for d in [] if t.is_whole else ideal_extensions(t, proper=True):
+                if d not in seen:
+                    seen.add(d)
+                    todo.append(d)
+        return seen
+    for s in catalog10.by_genus[10]:
+        built = _counting_extend(monkeypatch)
+        assert min_ichain_bfs(s) == complexity(s), s
+        assert len(built) == len(set(built)), s
+        # s is where the walk starts and the full monoid is in the memo from the start
+        assert set(built) == reached(s) - {s, WHOLE}, s
 
 
 def test_pf_gap_search(monkeypatch):
