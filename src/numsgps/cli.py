@@ -60,13 +60,6 @@ def _node_cap() -> int:
     return cap
 
 
-def _add_semigroup_args(sub):
-    sub.add_argument("semigroup", nargs="?",
-                     help="literal like '<5,6,8,9>' or a bare comma list")
-    sub.add_argument("--gaps", metavar="LIST",
-                     help="build the semigroup from its gap set, e.g. 1,2,3,4,7")
-
-
 def cmd_info(args, parser):
     s = _semigroup_from(args, parser)
     d = s.to_dict()
@@ -147,72 +140,69 @@ def cmd_search_pf_gap(args, parser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    def shared(*flags, **kwargs):
+        """A parent parser for an option that several subcommands share."""
+        p = argparse.ArgumentParser(add_help=False)
+        p.add_argument(*flags, **kwargs)
+        return p
+
+    semigroup = shared("semigroup", nargs="?",
+                       help="literal like '<5,6,8,9>' or a bare comma list")
+    semigroup.add_argument("--gaps", metavar="LIST",
+                           help="build the semigroup from its gap set, e.g. 1,2,3,4,7")
+    as_json = shared("--json", action="store_true")
+    gap_style = shared("--gap-style", action="store_true",
+                       help="print generator lists as '[ 3, 5 ]'")
+    max_genus = shared("--max-genus", type=int, default=8)
+
     parser = argparse.ArgumentParser(
         prog="numsgps",
         description="Numerical semigroups: invariants, ideal extensions, "
                     "chains, and genealogy enumeration.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("info", help="invariants of one semigroup")
-    _add_semigroup_args(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_info)
+    def add(name, func, *parents, **kwargs):
+        p = subs.add_parser(name, parents=parents, **kwargs)
+        p.set_defaults(func=func)
+        return p
 
-    p = subs.add_parser("extensions", help="all ideal extensions")
-    _add_semigroup_args(p)
+    add("info", cmd_info, semigroup, as_json, help="invariants of one semigroup")
+
+    p = add("extensions", cmd_extensions, semigroup, gap_style, as_json,
+            help="all ideal extensions")
     p.add_argument("--proper", action="store_true",
                    help="drop the semigroup itself from the list")
-    p.add_argument("--gap-style", action="store_true",
-                   help="print generator lists as '[ 3, 5 ]'")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_extensions)
 
-    p = subs.add_parser("chain", help="iterate a gap selection up to the full monoid")
-    _add_semigroup_args(p)
+    p = add("chain", cmd_chain, semigroup, gap_style, as_json,
+            help="iterate a gap selection up to the full monoid")
     p.add_argument("--theta", default="gamma",
                    choices=[t.value for t in ThetaMap],
                    help="which selection to iterate (default gamma)")
     p.add_argument("--full", action="store_true",
                    help="include the starting semigroup as the first line")
-    p.add_argument("--gap-style", action="store_true",
-                   help="print generator lists as '[ 5, 7, 23 ]'")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_chain)
 
-    p = subs.add_parser("complexity", help="the complexity invariant")
-    _add_semigroup_args(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_complexity)
+    add("complexity", cmd_complexity, semigroup, as_json, help="the complexity invariant")
 
-    p = subs.add_parser("enumerate",
-                        help="all semigroups of a multiplicity and complexity")
+    p = add("enumerate", cmd_enumerate, gap_style,
+            help="all semigroups of a multiplicity and complexity")
     p.add_argument("-m", "--multiplicity", type=int, required=True)
     p.add_argument("-c", "--complexity", type=int, required=True)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--count", action="store_true", help="print only how many")
     group.add_argument("--json", action="store_true")
-    p.add_argument("--gap-style", action="store_true",
-                   help="print generator lists as '[ 3, 7 ]'")
-    p.set_defaults(func=cmd_enumerate)
 
-    p = subs.add_parser("tree-dot", help="genealogy tree as a DOT digraph")
+    p = add("tree-dot", cmd_tree_dot, help="genealogy tree as a DOT digraph")
     p.add_argument("-m", "--multiplicity", type=int, required=True)
     p.add_argument("--depth", type=int, required=True)
-    p.set_defaults(func=cmd_tree_dot, json=False)
+    p.set_defaults(json=False)
 
-    p = subs.add_parser("verify",
-                        help="certify closed forms against brute force")
-    p.add_argument("--max-genus", type=int, default=8)
+    p = add("verify", cmd_verify, max_genus, as_json,
+            help="certify closed forms against brute force")
     p.add_argument("--checks", default="pf,ext,complexity,tree",
                    help="comma list from pf,ext,complexity,tree")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
 
-    p = subs.add_parser("search-pf-gap",
-                        help="semigroups where the PF chain overshoots the minimum")
-    p.add_argument("--max-genus", type=int, default=8)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_search_pf_gap)
+    add("search-pf-gap", cmd_search_pf_gap, max_genus, as_json,
+        help="semigroups where the PF chain overshoots the minimum")
 
     return parser
 

@@ -12,10 +12,15 @@ various ways; the seventh, gamma, picks every gap in the top block
 [⌊F/m⌋·m, F] and is optimal: iterating it realizes a chain of length
 exactly C(S), dropping the complexity by one per step.
 
-A gamma step is the clamp k_i ← min(k_i, ⌊F/m⌋) of the Kunz coordinates
-k_i = (w_i − i)/m of Ap(S, m).  Clamping every coordinate to one bound keeps
-the Kunz inequalities, so the step is closed by proof and costs O(m); the
-other six selections go through the closure-checked ``adjoin``.
+Every selection is pertinent by proof, so no step checks closure.  A
+gamma step is the clamp k_i ← min(k_i, ⌊F/m⌋) of the Kunz coordinates
+k_i = (w_i − i)/m of Ap(S, m): clamping every coordinate to one bound keeps
+the Kunz inequalities, and the step costs O(m).  The other six pick
+members of PF(S) closed under sums that land in PF(S): ``pf``,
+``upperhalf``, ``above-f-m`` and ``above-f-g`` keep every member above a
+threshold, and a sum lies above both its parts; ``frob`` and ``min-half``
+pick one x with 2x > F, whose double is a member.  They step by
+extensions._extend, the builder of ideal_extensions.
 """
 from __future__ import annotations
 
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ChainTooLong, WholeMonoid
-from .extensions import is_ideal_extension
+from .extensions import _extend, is_ideal_extension
 from .semigroup import WHOLE, NumericalSemigroup, _from_apery
 
 # A chain keeps every link, and a gamma chain has ⌊F/m⌋ + 2 of them, up to
@@ -96,10 +101,12 @@ def theta_apply(theta: ThetaMap, s: NumericalSemigroup) -> frozenset[int]:
 def chain(theta: ThetaMap, s: NumericalSemigroup) -> IChain:
     """Iterate S ← S ∪ θ(S) until the full monoid; the run is an i-chain.
 
-    Raises ChainTooLong for a chain of more than MAX_CHAIN_LINKS links,
-    and for gamma, whose C(S) + 1 links are known, before the first step.
+    θ(S) is pertinent, so each link is the ideal extension S ∪ θ(S), built
+    with no closure check: the gamma clamp, else _extend.  Raises
+    ChainTooLong for a chain of more than MAX_CHAIN_LINKS links, and for
+    gamma, whose C(S) + 1 links are known, before the first step.
     """
-    step = _gamma_step if theta is ThetaMap.GAMMA else lambda t: t.adjoin(theta_apply(theta, t))
+    step = _gamma_step if theta is ThetaMap.GAMMA else lambda t: _extend(t, theta_apply(theta, t))
     # a gamma chain has C(S) + 1 links, so one past the cap stops at its first link
     cap = 1 if theta is ThetaMap.GAMMA and complexity(s) >= MAX_CHAIN_LINKS else MAX_CHAIN_LINKS
     links, cur = [s], s

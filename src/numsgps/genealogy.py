@@ -106,6 +106,8 @@ def _walk(first, edges, depth: int, max_nodes: int, name=None):
     Raises LevelTooLarge on the first node built, ``first`` included, past
     ``max_nodes``; the message calls the root ``name`` (default ``first``).
     """
+    if max_nodes < 1:
+        raise _too_large(name or first, max_nodes)
     lvl, built = [(None, first, None)], 1
     for _ in range(depth):
         yield lvl

@@ -16,9 +16,10 @@ is closed by proof, so each child is built by raising one Apéry element,
 with no checked without; check_tree's multiplicity tree, whose children
 are checked, and the known counts n_g certify the walk.
 The search for semigroups where the full PF selection overshoots the
-complexity walks the catalog by ascending genus and reads each chain
-length off the entry for S ∪ PF(S), built unchecked since PF(S) is
-pertinent.  The ``verify`` CLI command and the test suite both run these.
+complexity walks the catalog by ascending genus with its chain lengths
+keyed by gap set too, and reads each one off the entry for the gaps of S
+less PF(S), which is S ∪ PF(S), without building it.  The ``verify`` CLI
+command and the test suite both run these.
 """
 from __future__ import annotations
 
@@ -170,16 +171,18 @@ def pf_gap_search(max_genus: int) -> list[tuple[NumericalSemigroup, int, int]]:
     Returns (s, complexity, mu_pf) triples with mu_pf > complexity, in
     catalog order.  The catalog runs by ascending genus, and S ∪ PF(S) has
     fewer gaps than S, so each mu_pf is one more than the entry already
-    kept for S ∪ PF(S): one PF step per semigroup.  PF(S) is pertinent, so
-    the step is the unchecked _extend; ``mu(ThetaMap.PF, s)``, whose chain
-    steps through the checked adjoin, is its second route.
+    kept for S ∪ PF(S).  The entries are keyed by gap set, one bit per gap
+    as in _steps, and S ∪ PF(S) has the gaps of S less PF(S), so its entry
+    is read without building it.  The second route, in the tests, steps
+    each whole PF chain with the checked adjoin.
     """
-    steps = {WHOLE: 0}
+    steps = {0: 0}
     out = []
     for s in enumerate_by_genus(max_genus).semigroups:
         if s.is_whole:
             continue
-        k = steps[s] = 1 + steps[_extend(s, s.pseudo_frobenius())]
+        gaps = sum(1 << g for g in s.gaps)
+        k = steps[gaps] = 1 + steps[gaps & ~sum(1 << x for x in s.pseudo_frobenius())]
         c = complexity(s)
         if k > c:
             out.append((s, c, k))

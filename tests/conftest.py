@@ -16,3 +16,8 @@ def catalog8():
 @pytest.fixture(scope="session")
 def catalog10():
     return enumerate_by_genus(10)
+
+
+@pytest.fixture(scope="session")
+def catalog12():
+    return enumerate_by_genus(12)

@@ -123,14 +123,33 @@ def test_validate_chain():
     assert validate_chain(chain(ThetaMap.PF, T46911).links)
 
 
-def test_every_theta_is_nonempty_and_pertinent(catalog10):
-    for s in catalog10.semigroups:
+def test_every_theta_is_nonempty_and_pertinent(catalog12):
+    # genus <= 12, so the genus-10 catalog too
+    for s in catalog12.semigroups:
         if s.is_whole:
             continue
         for theta in ThetaMap:
             picked = theta_apply(theta, s)
             assert picked, (s, theta)
             assert is_pertinent(s, picked), (s, theta)
+
+
+def test_pf_selection_chains_match_the_checked_adjoin(catalog12, monkeypatch):
+    # the six PF selections step by the unchecked _extend; a second route
+    # steps each chain with the closure-checked adjoin, link by link
+    def checked(theta, s):
+        links = [s]
+        while not links[-1].is_whole:
+            links.append(links[-1].adjoin(theta_apply(theta, links[-1])))
+        return [(t, t.min_generators) for t in links]
+    cases = [(theta, s) for s in catalog12.semigroups if not s.is_whole
+             for theta in ThetaMap if theta is not ThetaMap.GAMMA]
+    assert len(cases) == 6 * 1412
+    expected = [checked(theta, s) for theta, s in cases]
+    for name in ("adjoin", "_without"):
+        monkeypatch.setattr(NumericalSemigroup, name, lambda *a: pytest.fail("checked edit"))
+    for (theta, s), want in zip(cases, expected):
+        assert [(t, t.min_generators) for t in chain(theta, s).links] == want, (theta, s)
 
 
 def test_gamma_realizes_the_minimum(catalog10):

@@ -191,6 +191,22 @@ def test_count_cap_covers_the_counted_level():
     assert count(4, 3, max_nodes=23) == len(level(4, 2, max_nodes=23).members) == 15
 
 
+@pytest.mark.parametrize("walk, nodes", [
+    (lambda cap: level(3, 0, max_nodes=cap), 1),
+    (lambda cap: count(3, 1, max_nodes=cap), 1),
+    (lambda cap: count(3, 2, max_nodes=cap), 4),  # <3,4,5> and its 3 counted children
+    (lambda cap: export_dot(3, 0, max_nodes=cap), 1),
+], ids=["level", "count_c1", "count_c2", "export_dot"])
+def test_node_cap_counts_the_root(walk, nodes):
+    # every node from the root on counts, so a cap of 0 refuses even the root
+    for cap in (0, 1):
+        if cap < nodes:
+            with pytest.raises(LevelTooLarge, match=f"<3,4,5> exceeds the cap of {cap} nodes"):
+                walk(cap)
+        else:
+            walk(cap)
+
+
 def test_count_does_not_build_its_last_level():
     start = time.process_time()
     assert count(20, 2) == 2 ** 19 - 1
