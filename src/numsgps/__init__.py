@@ -1,114 +1,18 @@
-"""Numerical semigroups: invariants, ideal extensions, chains, genealogy."""
-from .complexity import (
-    Classification,
-    IChain,
-    ThetaMap,
-    chain,
-    classify,
-    complexity,
-    mu,
-    theta_apply,
-    validate_chain,
-)
-from .errors import (
-    ChainTooLong,
-    FrobeniusTooLarge,
-    GcdNotOne,
-    GenusTooLarge,
-    LevelTooLarge,
-    MultiplicityTooLarge,
-    NotAMember,
-    NotASemigroup,
-    SemigroupError,
-    TypeTooLarge,
-    WholeMonoid,
-)
-from .extensions import (
-    PertinentSet,
-    ideal_extensions,
-    is_ideal_extension,
-    is_pertinent,
-    pertinent_sets,
-)
-from .genealogy import (
-    TreeLevel,
-    child_edges,
-    children,
-    count,
-    enumerate_semigroups,
-    export_dot,
-    level,
-    removal_candidates,
-    root,
-    shift_embed,
-)
-from .oracle import (
-    CHECKS,
-    GenusCatalog,
-    enumerate_by_genus,
-    extensions_bruteforce,
-    min_ichain_bfs,
-    pf_bruteforce,
-    pf_gap_search,
-)
-from .semigroup import (
-    WHOLE,
-    AperySet,
-    NumericalSemigroup,
-    from_gaps,
-    from_generators,
-    type_of,
-)
+"""Numerical semigroups: invariants, ideal extensions, chains, genealogy.
 
-__all__ = [
-    "AperySet",
-    "CHECKS",
-    "ChainTooLong",
-    "Classification",
-    "FrobeniusTooLarge",
-    "GcdNotOne",
-    "GenusCatalog",
-    "GenusTooLarge",
-    "IChain",
-    "LevelTooLarge",
-    "MultiplicityTooLarge",
-    "NotAMember",
-    "NotASemigroup",
-    "NumericalSemigroup",
-    "PertinentSet",
-    "SemigroupError",
-    "ThetaMap",
-    "TreeLevel",
-    "TypeTooLarge",
-    "WHOLE",
-    "WholeMonoid",
-    "chain",
-    "child_edges",
-    "children",
-    "classify",
-    "complexity",
-    "count",
-    "enumerate_by_genus",
-    "enumerate_semigroups",
-    "export_dot",
-    "extensions_bruteforce",
-    "from_gaps",
-    "from_generators",
-    "ideal_extensions",
-    "is_ideal_extension",
-    "is_pertinent",
-    "level",
-    "min_ichain_bfs",
-    "mu",
-    "pertinent_sets",
-    "pf_bruteforce",
-    "pf_gap_search",
-    "removal_candidates",
-    "root",
-    "shift_embed",
-    "theta_apply",
-    "type_of",
-    "validate_chain",
-]
+Each public name is declared once, in the ``__all__`` of the module that
+defines it (semigroup, extensions, chains, genealogy, oracle, errors); the
+package re-exports them all and its ``__all__`` is their sorted union.
+"""
+from . import chains, errors, extensions, genealogy, oracle, semigroup
+from .chains import *
+from .errors import *
+from .extensions import *
+from .genealogy import *
+from .oracle import *
+from .semigroup import *
+
+__all__ = sorted([*chains.__all__, *errors.__all__, *extensions.__all__,
+                  *genealogy.__all__, *oracle.__all__, *semigroup.__all__])
 
 __version__ = "0.1.0"

@@ -31,6 +31,18 @@ from .errors import ChainTooLong, WholeMonoid
 from .extensions import _extend, is_ideal_extension
 from .semigroup import WHOLE, NumericalSemigroup, _from_apery
 
+__all__ = [
+    "Classification",
+    "IChain",
+    "ThetaMap",
+    "chain",
+    "classify",
+    "complexity",
+    "mu",
+    "theta_apply",
+    "validate_chain",
+]
+
 # A chain keeps every link, and a gamma chain has ⌊F/m⌋ + 2 of them, up to
 # 2^39 + 1 within MAX_FROBENIUS; at about 0.4 kB a link (<2,200001>: 10^5
 # links, about 40 MB) a longer chain is refused before it is built.

@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from .complexity import ThetaMap, chain, classify, complexity
+from .chains import ThetaMap, chain, classify, complexity
 from .errors import SemigroupError
 from .extensions import ideal_extensions
 from .genealogy import DEFAULT_NODE_CAP, count, enumerate_semigroups, export_dot

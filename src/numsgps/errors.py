@@ -1,5 +1,19 @@
 """Exception types shared by every module in the package."""
 
+__all__ = [
+    "ChainTooLong",
+    "FrobeniusTooLarge",
+    "GcdNotOne",
+    "GenusTooLarge",
+    "LevelTooLarge",
+    "MultiplicityTooLarge",
+    "NotAMember",
+    "NotASemigroup",
+    "SemigroupError",
+    "TypeTooLarge",
+    "WholeMonoid",
+]
+
 
 class SemigroupError(ValueError):
     """Base class for all errors raised by this package."""

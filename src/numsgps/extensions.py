@@ -27,6 +27,14 @@ from dataclasses import dataclass
 from .errors import TypeTooLarge, WholeMonoid
 from .semigroup import NumericalSemigroup, _from_apery, _from_generators
 
+__all__ = [
+    "PertinentSet",
+    "ideal_extensions",
+    "is_ideal_extension",
+    "is_pertinent",
+    "pertinent_sets",
+]
+
 # pertinent_sets may return up to 2^t subsets of PF(S); refuse absurd types
 MAX_TYPE = 25
 

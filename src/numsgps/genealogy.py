@@ -31,6 +31,19 @@ from dataclasses import dataclass
 from .errors import LevelTooLarge, WholeMonoid
 from .semigroup import NumericalSemigroup, _check_multiplicity, _from_apery, _generators_above
 
+__all__ = [
+    "TreeLevel",
+    "child_edges",
+    "children",
+    "count",
+    "enumerate_semigroups",
+    "export_dot",
+    "level",
+    "removal_candidates",
+    "root",
+    "shift_embed",
+]
+
 DEFAULT_NODE_CAP = 10_000_000
 
 

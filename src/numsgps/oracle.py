@@ -26,15 +26,29 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .complexity import ThetaMap, complexity, mu, theta_apply
+from .chains import ThetaMap, complexity, mu, theta_apply
 from .errors import GenusTooLarge, TypeTooLarge, WholeMonoid
 from .extensions import _extend, _pertinent, ideal_extensions
 from .genealogy import DEFAULT_NODE_CAP, _walk, child_edges, root
 from .semigroup import WHOLE, NumericalSemigroup, _from_apery
 
+__all__ = [
+    "CHECKS",
+    "GenusCatalog",
+    "enumerate_by_genus",
+    "extensions_bruteforce",
+    "min_ichain_bfs",
+    "pf_bruteforce",
+    "pf_gap_search",
+]
+
 MAX_CATALOG_GENUS = 12
 MAX_BFS_GENUS = 10
 MAX_ORACLE_TYPE = 25
+# pf_bruteforce lists every gap and every member up to F, so a larger genus
+# is refused before either list is made.  It stays well above genus 912,
+# which the tests reach with <48,77,101>.
+MAX_ORACLE_GENUS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -81,7 +95,7 @@ def _genus_edges(s: NumericalSemigroup):
     m, ap = s.multiplicity, s._apery
     for x in s.min_generators:
         if x > s.frobenius:
-            yield (_from_apery(m + 1, (0, *range(m + 2, 2 * m + 2))) if x == m
+            yield (root(m + 1) if x == m
                    else _from_apery(m, (*ap[:x % m], x + m, *ap[x % m + 1:]))), x
 
 
@@ -91,6 +105,8 @@ def pf_bruteforce(s: NumericalSemigroup) -> set[int]:
     Testing n up to F(s)+1 is exhaustive: for larger n the sum already
     exceeds the Frobenius number.
     """
+    if s.genus > MAX_ORACLE_GENUS:
+        raise GenusTooLarge(f"genus {s.genus} exceeds the oracle guard {MAX_ORACLE_GENUS}")
     if s.is_whole:
         raise WholeMonoid("the full monoid has no pseudo-Frobenius numbers")
     nonzero = [n for n in s.small_elements if n]
@@ -191,29 +207,24 @@ def pf_gap_search(max_genus: int) -> list[tuple[NumericalSemigroup, int, int]]:
 
 # -- certification passes, each returns None or a counterexample report ----
 
+def _first_mismatch(catalog: GenusCatalog, name: str, fast, slow, show) -> str | None:
+    """The first member S ≠ ℕ of the catalog with fast(S) ≠ slow(S), reported by show."""
+    for s in catalog.semigroups:
+        if not s.is_whole and (a := fast(s)) != (b := slow(s)):
+            return f"{name} mismatch at {s}: fast={show(a)} brute={show(b)}"
+    return None
+
+
 def check_pf(catalog: GenusCatalog) -> str | None:
     """pseudo_frobenius against the definitional scan."""
-    for s in catalog.semigroups:
-        if s.is_whole:
-            continue
-        fast = set(s.pseudo_frobenius())
-        slow = pf_bruteforce(s)
-        if fast != slow:
-            return f"pf mismatch at {s}: fast={sorted(fast)} brute={sorted(slow)}"
-    return None
+    return _first_mismatch(catalog, "pf", lambda s: set(s.pseudo_frobenius()),
+                           pf_bruteforce, sorted)
 
 
 def check_extensions(catalog: GenusCatalog) -> str | None:
     """Pertinent-subset extensions against the closure-filter scan."""
-    for s in catalog.semigroups:
-        if s.is_whole:
-            continue
-        fast = ideal_extensions(s)
-        slow = extensions_bruteforce(s)
-        if fast != slow:
-            return (f"extensions mismatch at {s}: "
-                    f"fast={[str(d) for d in fast]} brute={[str(d) for d in slow]}")
-    return None
+    return _first_mismatch(catalog, "extensions", ideal_extensions, extensions_bruteforce,
+                           lambda ds: [str(d) for d in ds])
 
 
 def check_complexity(catalog: GenusCatalog) -> str | None:

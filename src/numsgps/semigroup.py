@@ -50,6 +50,15 @@ from .errors import (
     WholeMonoid,
 )
 
+__all__ = [
+    "WHOLE",
+    "AperySet",
+    "NumericalSemigroup",
+    "from_gaps",
+    "from_generators",
+    "type_of",
+]
+
 # Inputs whose Frobenius number would pass this are refused outright;
 # everything downstream is exhaustive and infeasible long before it.
 MAX_FROBENIUS = 1 << 40

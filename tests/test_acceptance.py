@@ -5,7 +5,7 @@ the pytest -v status line per test doubles as the pass/fail record.
 """
 import time
 
-from numsgps.complexity import ThetaMap, chain, complexity, mu, theta_apply
+from numsgps.chains import ThetaMap, chain, complexity, mu, theta_apply
 from numsgps.extensions import ideal_extensions, is_pertinent
 from numsgps.genealogy import count, enumerate_semigroups, level, shift_embed
 from numsgps.oracle import (enumerate_by_genus, extensions_bruteforce,

@@ -230,6 +230,10 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+def test_gaps_must_be_integers(capsys):
+    assert run("info", "--gaps", "1,x") == 2
+    assert "expected a comma-separated integer list" in capsys.readouterr().err
+
 def test_node_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("NUMSGPS_NODE_CAP", "10")
     assert run("enumerate", "-m", "5", "-c", "4") == 2

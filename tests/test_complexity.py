@@ -1,18 +1,14 @@
-import importlib
 import time
 
 import pytest
 
-from numsgps.complexity import (Classification, IChain, ThetaMap, chain,
-                                classify, complexity, mu, theta_apply,
-                                validate_chain)
+from numsgps.chains import (Classification, IChain, ThetaMap, chain,
+                            classify, complexity, mu, theta_apply,
+                            validate_chain)
 from numsgps.errors import ChainTooLong, WholeMonoid
 from numsgps.extensions import is_pertinent
-from numsgps import semigroup
+from numsgps import chains, semigroup
 from numsgps.semigroup import WHOLE, NumericalSemigroup, from_gaps
-
-# the package's complexity() function shadows the module of that name
-complexity_module = importlib.import_module("numsgps.complexity")
 
 S57 = NumericalSemigroup(5, 7)
 S5689 = NumericalSemigroup(5, 6, 8, 9)
@@ -52,6 +48,10 @@ def test_theta_apply_rejects_whole_monoid():
         with pytest.raises(WholeMonoid):
             theta_apply(theta, WHOLE)
 
+
+def test_theta_apply_rejects_an_unknown_selection():
+    with pytest.raises(ValueError, match="unknown selection"):
+        theta_apply("pf", S57)
 
 def test_gamma_chain_example():
     c = chain(ThetaMap.GAMMA, S57)
@@ -222,7 +222,7 @@ def test_gamma_chain_guard_fires_before_the_first_step(monkeypatch):
     # F = 2^40 - 1 passes the Frobenius guard, but its gamma chain would
     # have 2^39 + 1 links
     s = NumericalSemigroup(2, 2**40 + 1)
-    monkeypatch.setattr(complexity_module, "_gamma_step", lambda t: pytest.fail("stepped"))
+    monkeypatch.setattr(chains, "_gamma_step", lambda t: pytest.fail("stepped"))
     start = time.process_time()
     with pytest.raises(ChainTooLong) as exc:
         chain(ThetaMap.GAMMA, s)
@@ -233,13 +233,13 @@ def test_gamma_chain_guard_fires_before_the_first_step(monkeypatch):
 def test_chain_guard_counts_the_links_of_other_selections(monkeypatch):
     # the PF chain of <4,6,9,11> has 4 links: <4,6,9,11>, <2,5>, <2,3>, <1>
     assert len(chain(ThetaMap.PF, T46911).links) == 4
-    monkeypatch.setattr(complexity_module, "MAX_CHAIN_LINKS", 4)
+    monkeypatch.setattr(chains, "MAX_CHAIN_LINKS", 4)
     assert mu(ThetaMap.PF, T46911) == 3
-    monkeypatch.setattr(complexity_module, "MAX_CHAIN_LINKS", 3)
+    monkeypatch.setattr(chains, "MAX_CHAIN_LINKS", 3)
     with pytest.raises(ChainTooLong, match="exceeds 3 links"):
         chain(ThetaMap.PF, T46911)
     # gamma needs C(S) + 1 = 3 links and is refused at a cap of 2, before any step
     assert len(chain(ThetaMap.GAMMA, T46911).links) == 3
-    monkeypatch.setattr(complexity_module, "MAX_CHAIN_LINKS", 2)
+    monkeypatch.setattr(chains, "MAX_CHAIN_LINKS", 2)
     with pytest.raises(ChainTooLong, match="exceeds 2 links"):
         chain(ThetaMap.GAMMA, T46911)

@@ -6,7 +6,7 @@ import pytest
 
 from brute import kunz_count
 from numsgps import genealogy, semigroup
-from numsgps.complexity import complexity
+from numsgps.chains import complexity
 from numsgps.errors import LevelTooLarge, WholeMonoid
 from numsgps.genealogy import (TreeLevel, child_edges, children, count,
                                enumerate_semigroups, export_dot, level,

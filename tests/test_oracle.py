@@ -1,10 +1,11 @@
 import copy
+import time
 
 import pytest
 
 from numsgps import extensions, oracle, semigroup
-from numsgps.complexity import complexity
-from numsgps.errors import GenusTooLarge, WholeMonoid
+from numsgps.chains import complexity
+from numsgps.errors import GenusTooLarge, TypeTooLarge, WholeMonoid
 from numsgps.extensions import ideal_extensions
 from numsgps.genealogy import DEFAULT_NODE_CAP, _walk
 from numsgps.genealogy import child_edges as genuine_child_edges
@@ -74,6 +75,20 @@ def test_pf_bruteforce():
     with pytest.raises(WholeMonoid):
         pf_bruteforce(WHOLE)
 
+
+def test_pf_bruteforce_genus_guard_fires_before_the_scan():
+    # genus 2^39: the gaps and members up to F would be listed first
+    start = time.perf_counter()
+    with pytest.raises(GenusTooLarge, match="oracle guard"):
+        pf_bruteforce(NumericalSemigroup(2, 2**40 + 1))
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(GenusTooLarge):
+        extensions_bruteforce(NumericalSemigroup(2, 2**40 + 1))
+
+
+def test_extensions_bruteforce_type_guard():
+    with pytest.raises(TypeTooLarge):
+        extensions_bruteforce(from_gaps(range(1, 27)))  # ordinary, type 26
 
 def test_pf_bruteforce_matches_fast_route(catalog10):
     for s in catalog10.semigroups:
@@ -247,6 +262,15 @@ def test_checks_report_counterexamples(catalog8, monkeypatch):
     report = check_tree(catalog8)
     assert report is not None and "tree mismatch" in report
 
+
+def test_check_reports_name_the_first_counterexample(catalog8, monkeypatch):
+    monkeypatch.setattr(oracle, "pf_bruteforce", lambda s: {1})
+    assert check_pf(catalog8) == "pf mismatch at <2,5>: fast=[3] brute=[1]"
+    monkeypatch.setattr(oracle, "extensions_bruteforce", lambda s: [])
+    assert check_extensions(catalog8) == (
+        "extensions mismatch at <2,3>: fast=['<2,3>', '<1>'] brute=[]")
+    monkeypatch.setattr(oracle, "min_ichain_bfs", lambda s: 99)
+    assert check_complexity(catalog8) == "complexity mismatch at <1>: closed-form=0 bfs=99"
 
 def test_check_tree_covers_only_complete_classes(catalog8):
     # classes with c(m-1) <= 8 sit fully inside the catalog; spot-check

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute import closure_witness, naive_invariants, naive_members, naive_pertinent_sets
-from numsgps.complexity import ThetaMap, chain, theta_apply
+from numsgps.chains import ThetaMap, chain, theta_apply
 from numsgps.errors import NotASemigroup
 from numsgps.extensions import _extend, ideal_extensions, pertinent_sets
 from numsgps.genealogy import root, shift_embed

@@ -6,7 +6,7 @@ import pytest
 
 from brute import closure_witness, naive_members
 from numsgps import semigroup
-from numsgps.complexity import _gamma_step, complexity
+from numsgps.chains import _gamma_step, complexity
 from numsgps.errors import (FrobeniusTooLarge, GcdNotOne, MultiplicityTooLarge,
                             NotAMember, NotASemigroup, WholeMonoid)
 from numsgps.semigroup import (WHOLE, AperySet, NumericalSemigroup, from_gaps,
@@ -200,6 +200,9 @@ def test_parse_and_str():
         with pytest.raises(ValueError):
             NumericalSemigroup.parse(bad)
 
+
+def test_repr():
+    assert repr(NumericalSemigroup(5, 7)) == "NumericalSemigroup(<5,7>)"
 
 def test_str_parse_round_trip(catalog8):
     for s in catalog8.semigroups:
