@@ -17,13 +17,18 @@ import os
 import sys
 
 from .chains import ThetaMap, chain, classify, complexity
-from .errors import SemigroupError
+from .errors import GenusTooLarge, SemigroupError
 from .extensions import ideal_extensions
 from .genealogy import DEFAULT_NODE_CAP, count, enumerate_semigroups, export_dot
 from .oracle import CHECKS, enumerate_by_genus, pf_gap_search
 from .semigroup import NumericalSemigroup, from_gaps
 
 NODE_CAP_ENV = "NUMSGPS_NODE_CAP"
+# info lists every gap and every small element, about 2·genus numbers, so a
+# larger genus is refused before either list is made: <2,1048577>, of genus
+# 2^19, takes 0.7 s, and <2,1099511627777>, which the Frobenius guard admits,
+# would list about 2^40 numbers.
+MAX_INFO_GENUS = 1 << 20
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -62,6 +67,8 @@ def _node_cap() -> int:
 
 def cmd_info(args, parser):
     s = _semigroup_from(args, parser)
+    if s.genus > MAX_INFO_GENUS:
+        raise GenusTooLarge(f"genus {s.genus} exceeds the info guard {MAX_INFO_GENUS}")
     d = s.to_dict()
 
     def lines():

@@ -5,16 +5,19 @@ implementations can be checked against it on small instances: a complete
 catalog of semigroups up to a genus bound, pseudo-Frobenius numbers
 straight from the definition, ideal extensions by filtering all 2^t
 subsets with an explicit closure test over every pair (run on one int
-bitset per candidate; each candidate that passes is built from its own
-least member per class, not through adjoin or from_gaps), and the
-minimal i-chain length by a memoised recursion over the extension graph,
-which is acyclic because every proper extension has fewer gaps.  The memo
-is keyed by gap set, which S ∪ A gives as the gaps of S less A, so an
-extension is built only on the first visit to its key.  The catalog walks
-the genus tree on Apéry sets: removing a minimal generator x > F from S
-is closed by proof, so each child is built by raising one Apéry element,
-with no checked without; check_tree's multiplicity tree, whose children
-are checked, and the known counts n_g certify the walk.
+bitset per candidate; the candidates that pass are sorted by their bits,
+not their generators, and each is built from its own least member per
+class, not through adjoin or from_gaps), and the minimal i-chain length
+by a memoised recursion over the extension graph, which is acyclic
+because every proper extension has fewer gaps.  The memo is keyed by gap
+set, which S ∪ A gives as the gaps of S less A, so an extension is built
+only on the first visit to its key; the recursion shares the catalog's
+genus bound, 12, so the memo holds at most the 1413 semigroups of the
+genus-12 catalog.  The catalog walks the genus tree on Apéry sets:
+removing a minimal generator x > F from S is closed by proof, so each
+child is built by raising one Apéry element, with no checked without;
+check_tree's multiplicity tree, whose children are checked, and the
+known counts n_g certify the walk.
 The search for semigroups where the full PF selection overshoots the
 complexity walks the catalog by ascending genus with its chain lengths
 keyed by gap set too, and reads each one off the entry for the gaps of S
@@ -43,7 +46,6 @@ __all__ = [
 ]
 
 MAX_CATALOG_GENUS = 12
-MAX_BFS_GENUS = 10
 MAX_ORACLE_TYPE = 25
 # pf_bruteforce lists every gap and every member up to F, so a larger genus
 # is refused before either list is made.  It stays well above genus 912,
@@ -123,16 +125,27 @@ def extensions_bruteforce(s: NumericalSemigroup) -> list[NumericalSemigroup]:
     bit of k), so O(t) ints are held, never 2^t.  A pair a ≤ b with
     a + b ≤ F has a ≤ F/2, and a sum past F is a member, so a candidate
     is closed iff (cand << a) & ~cand has no bit up to F for every member
-    a with m ≤ a ≤ F/2, m its least nonzero member.  Ap(cand, m) is read
-    off the bits class by class, and a candidate that passes is built from
-    it by _from_apery, with no round robin and no checked edit.
+    a with m ≤ a ≤ F/2, m its least nonzero member.
+
+    The list runs by descending genus and, within a genus, by ascending
+    minimal generators, which is descending order of the member bits read
+    from 0 up.  Let A and B of equal genus first differ at x, a member of
+    A only.  Then x is a minimal generator of A, as a sum of two smaller
+    nonzero members of A would lie in B too; below x the two have the
+    same members, so the same generators; and B has a generator above x,
+    since otherwise its generators would be a proper prefix of A's and
+    generate a proper subset of A, which has more gaps.  So A comes first
+    both ways.  Each closed candidate is therefore kept as its genus (the
+    0s of its bit string), that string and m, and is built only after the
+    sort, from Ap(cand, m) read off the bits class by class by _from_apery,
+    with no round robin, no checked edit and no generators.
     """
     if s.is_whole:
         raise WholeMonoid("the full monoid is its only extension")
     pf = sorted(pf_bruteforce(s))
     if len(pf) > MAX_ORACLE_TYPE:
         raise TypeTooLarge(f"type {len(pf)} exceeds the oracle guard")
-    f, out = s.frobenius, []
+    f, closed = s.frobenius, []
     low = (1 << f + 1) - 1  # bits 0..F
     cand = sum(1 << x for x in s.small_elements if x <= f)
     flips = [1 << x for x in pf]
@@ -141,9 +154,9 @@ def extensions_bruteforce(s: NumericalSemigroup) -> list[NumericalSemigroup]:
         bits = bin(cand | low << f + 1)[:1:-1]  # LSB first, with F+1..2F+1 in
         m, holes = bits.index("1", 1), cand ^ low
         if not any(cand << a & holes for a in range(m, f // 2 + 1) if bits[a] == "1"):
-            out.append(_from_apery(m, tuple(i + m * bits[i::m].index("1") for i in range(m))))
-    out.sort(key=lambda d: (-d.genus, d.min_generators))
-    return out
+            closed.append((bits.count("0"), bits, m))  # bits differ, so m never decides
+    return [_from_apery(m, tuple(i + m * bits[i::m].index("1") for i in range(m)))
+            for _, bits, m in sorted(closed, reverse=True)]
 
 
 def min_ichain_bfs(s: NumericalSemigroup) -> int:
@@ -157,17 +170,17 @@ def min_ichain_bfs(s: NumericalSemigroup) -> int:
     its extension's key without building it, and the extension is built
     only on the first visit to that key.
     """
-    if s.genus > MAX_BFS_GENUS:
+    if s.genus > MAX_CATALOG_GENUS:
         raise GenusTooLarge(
-            f"genus {s.genus} exceeds the BFS guard {MAX_BFS_GENUS}")
+            f"genus {s.genus} exceeds the catalog guard {MAX_CATALOG_GENUS}")
     return _shortest(s, sum(1 << g for g in s.gaps))
 
 
 # Shortest chain length by gap set, one bit per gap; 0 is the full monoid.
 # A proper extension has fewer gaps, so the extension graph is acyclic and
 # the recursion ends.  Every node it reaches has genus at most the input's,
-# which the guard keeps within MAX_BFS_GENUS = 10, so the memo holds at
-# most the 478 semigroups of the genus-10 catalog.
+# which the guard keeps within MAX_CATALOG_GENUS = 12, so the memo holds at
+# most the 1413 semigroups of the genus-12 catalog.
 _steps = {0: 0}
 
 
@@ -234,10 +247,9 @@ def check_complexity(catalog: GenusCatalog) -> str | None:
         steps = mu(ThetaMap.GAMMA, s)
         if c != steps:
             return f"complexity mismatch at {s}: closed-form={c} gamma-chain={steps}"
-        if s.genus <= min(catalog.max_genus, MAX_BFS_GENUS):
-            shortest = min_ichain_bfs(s)
-            if c != shortest:
-                return f"complexity mismatch at {s}: closed-form={c} bfs={shortest}"
+        shortest = min_ichain_bfs(s)
+        if c != shortest:
+            return f"complexity mismatch at {s}: closed-form={c} bfs={shortest}"
     return None
 
 

@@ -210,8 +210,8 @@ class NumericalSemigroup:
 
     def apery_set(self, n: int) -> AperySet:
         """The least member of each residue class mod n, for a nonzero member n."""
-        if isinstance(n, bool) or n <= 0 or n not in self:
-            raise NotAMember(f"{n} is not a nonzero member of {self}")
+        if not isinstance(n, int) or isinstance(n, bool) or n <= 0 or n not in self:
+            raise NotAMember(f"{n!r} is not a nonzero member of {self}")
         if n == self.multiplicity:
             return AperySet(n, self._apery)
         return AperySet(n, _apery_mod(n, self.min_generators)[0])

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -288,6 +289,17 @@ def test_library_has_no_assert_statement():
 def test_guards_fire_under_python_O(argv, message):
     proc = python("-O", "-m", "numsgps.cli", *argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message + "\n")
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_info_refuses_a_genus_it_cannot_list(capsys, json_flag):
+    # F = 2^40 - 1 passes the Frobenius guard, but info would list about 2^40 numbers
+    start = time.perf_counter()
+    assert run("info", "<2,1099511627777>", *json_flag) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: genus 549755813888 exceeds the info guard 1048576\n"
 
 
 def test_node_cap_applies_to_tree_dot(capsys, monkeypatch):

@@ -115,6 +115,17 @@ def test_extensions_bruteforce_matches_fast_route(catalog10):
         assert extensions_bruteforce(s) == ideal_extensions(s), s
 
 
+def test_extensions_bruteforce_sorts_without_generators(catalog8, monkeypatch):
+    # the oracle orders by member bits, so it never derives a generator
+    fast = {s: ideal_extensions(s) for s in catalog8.semigroups if not s.is_whole}
+
+    def refuse(*args):
+        raise AssertionError("generators derived")
+    monkeypatch.setattr(semigroup, "_generators_above", refuse)
+    for s, exts in fast.items():
+        assert extensions_bruteforce(s) == exts, s
+
+
 def test_extension_routes_never_edit(catalog8, monkeypatch):
     # neither route goes through a checked edit: the oracle builds what
     # its own pair loop proved closed, ideal_extensions what pertinence did
@@ -143,9 +154,20 @@ def test_min_ichain_bfs():
 
 def test_min_ichain_bfs_guard():
     with pytest.raises(GenusTooLarge):
-        min_ichain_bfs(NumericalSemigroup(5, 7))  # genus 12
+        min_ichain_bfs(NumericalSemigroup(5, 8))  # genus 14
     with pytest.raises(GenusTooLarge):
-        min_ichain_bfs(from_gaps(range(1, 12)))  # genus 11
+        min_ichain_bfs(from_gaps(range(1, 14)))  # genus 13
+
+
+def test_check_complexity_runs_the_shortest_chain_on_every_member(catalog12, monkeypatch):
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return min_ichain_bfs(s)
+    monkeypatch.setattr(oracle, "min_ichain_bfs", counted)
+    assert check_complexity(catalog12) is None
+    assert len(calls) == len(catalog12.semigroups) == 1413
 
 
 def test_min_ichain_matches_complexity(catalog10):

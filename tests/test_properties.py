@@ -166,6 +166,13 @@ def test_pertinent_sets_match_the_subset_filter(s):
         assert ideal_extensions(s) == extensions_bruteforce(s)
 
 
+@SETTINGS
+@given(high_type_semigroups())
+def test_extensions_bruteforce_comes_sorted_by_genus_then_generators(s):
+    got = extensions_bruteforce(s)
+    assert got == sorted(got, key=lambda d: (-d.genus, d.min_generators))
+
+
 def same_semigroup(trusted, checked):
     """A construction that checks nothing against a closure-checked one."""
     assert trusted._apery == checked._apery

@@ -100,6 +100,13 @@ def test_apery_set_requires_nonzero_member():
             s.apery_set(bad)
 
 
+def test_apery_set_rejects_non_integers_before_comparing():
+    s = NumericalSemigroup(5, 6, 8, 9)
+    for bad in ("5", None, 5.0, True):
+        with pytest.raises(NotAMember):
+            s.apery_set(bad)
+
+
 def test_apery_set_matches_naive_members(catalog8):
     for s in catalog8.semigroups:
         f = s.frobenius
