@@ -4,25 +4,32 @@ Everything here recomputes an answer from first principles so the fast
 implementations can be checked against it on small instances: a complete
 catalog of semigroups up to a genus bound, pseudo-Frobenius numbers
 straight from the definition, ideal extensions by filtering all 2^t
-subsets with an explicit closure test over every pair (run on one int
-bitset per candidate; the candidates that pass are sorted by their bits,
-not their generators, and each is built from its own least member per
-class, not through adjoin or from_gaps), and the minimal i-chain length
-by a memoised recursion over the extension graph, which is acyclic
-because every proper extension has fewer gaps.  The memo is keyed by gap
-set, which S ∪ A gives as the gaps of S less A, so an extension is built
-only on the first visit to its key; the recursion shares the catalog's
-genus bound, 12, so the memo holds at most the 1413 semigroups of the
-genus-12 catalog.  The catalog walks the genus tree on Apéry sets:
-removing a minimal generator x > F from S is closed by proof, so each
-child is built by raising one Apéry element, with no checked without;
-check_tree's multiplicity tree, whose children are checked, and the
-known counts n_g certify the walk.
-The search for semigroups where the full PF selection overshoots the
-complexity walks the catalog by ascending genus with its chain lengths
-keyed by gap set too, and reads each one off the entry for the gaps of S
-less PF(S), which is S ∪ PF(S), without building it.  The ``verify`` CLI
+subsets of PF(S) with a closure test, the minimal i-chain length by a
+memoised recursion over the extension graph, and the semigroups where
+the full PF selection overshoots the complexity.  The ``verify`` CLI
 command and the test suite both run these.
+
+Inside, a semigroup S is one int g, its gap set: bit x is set iff x is a
+gap, so F = bit_length − 1, m is the first clear bit above 0, and S ∪ A,
+for gaps A, is g with the bits of A cleared.  One closure test,
+_closed, does every job: the complement of g is closed iff
+(members << a) & g == 0 for each member 1 ≤ a ≤ F/2, since a pair
+a ≤ b with a + b ≤ F has a ≤ F/2 and a sum past F is a member.  The
+genus-tree children of S are the g | 1 << x with x in (F, F + m] that
+pass it; the extensions are the candidates between g and g less PF(S)
+that pass it; PF(S) is the gaps x with (nonzero members << x) & g == 0.
+An object is made only at the boundary, built from Ap(S, m) read off
+the bits class by class (_semigroup), and every genus guard fires before
+a gap int is made.  So the oracle shares no generators, no pertinence
+and no round robin with the fast routes it checks.  It imports, by module:
+
+    chains: ThetaMap, complexity, mu, theta_apply
+    extensions: ideal_extensions
+    genealogy: DEFAULT_NODE_CAP, _walk, child_edges, root
+    semigroup: NumericalSemigroup, _from_apery
+
+The first three lines are what the checks compare (check_tree walks
+the multiplicity tree through _walk); _from_apery is the one builder.
 """
 from __future__ import annotations
 
@@ -31,9 +38,9 @@ from dataclasses import dataclass
 
 from .chains import ThetaMap, complexity, mu, theta_apply
 from .errors import GenusTooLarge, TypeTooLarge, WholeMonoid
-from .extensions import _extend, _pertinent, ideal_extensions
+from .extensions import ideal_extensions
 from .genealogy import DEFAULT_NODE_CAP, _walk, child_edges, root
-from .semigroup import WHOLE, NumericalSemigroup, _from_apery
+from .semigroup import NumericalSemigroup, _from_apery
 
 __all__ = [
     "CHECKS",
@@ -47,10 +54,12 @@ __all__ = [
 
 MAX_CATALOG_GENUS = 12
 MAX_ORACLE_TYPE = 25
-# pf_bruteforce lists every gap and every member up to F, so a larger genus
-# is refused before either list is made.  It stays well above genus 912,
-# which the tests reach with <48,77,101>.
+# pf_bruteforce and extensions_bruteforce make an int of F bits and shift it
+# once per gap, so a larger genus is refused before it is made.  It stays
+# well above genus 912, which the tests reach with <48,77,101>.
 MAX_ORACLE_GENUS = 1 << 15
+# numerical semigroups of genus 0..12 (OEIS A007323; Bras-Amorós, Semigroup Forum 2008)
+A007323 = (1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592)
 
 
 @dataclass(frozen=True)
@@ -74,89 +83,116 @@ def enumerate_by_genus(max_genus: int) -> GenusCatalog:
     Each semigroup of genus g+1 is some genus-g semigroup minus a single
     minimal generator exceeding its Frobenius number, and arises that way
     exactly once, so the walk is complete and duplicate-free (``check_tree``
-    certifies the latter).  Each child is built by proof (_genus_edges),
-    with no closure check.
+    certifies the latter, and the counts per genus against A007323).
+    """
+    return GenusCatalog(max_genus, tuple(tuple(map(_semigroup, lvl))
+                                         for lvl in _levels(max_genus)))
+
+
+def _levels(max_genus: int) -> list[list[int]]:
+    """The catalog's gap ints, one list per genus, each sorted by _bits.
+
+    A minimal generator x > F of S lies in (F, F + m], since x − m > F
+    would be a nonzero member, and S ∖ {x} is closed iff x is one, so the
+    children of g are the closed g | 1 << x for those x.  ℕ, with F = −1
+    by convention, has the one child 0b10, <2,3>.  Within one genus, the
+    order of _bits is the order by minimal generators (see
+    extensions_bruteforce).
     """
     if max_genus < 0:
         raise ValueError("genus bound must be nonnegative")
     if max_genus > MAX_CATALOG_GENUS:
-        raise GenusTooLarge(
-            f"genus {max_genus} exceeds the catalog guard {MAX_CATALOG_GENUS}")
-    return GenusCatalog(max_genus, tuple(
-        tuple(sorted((s for _, s, _ in lvl), key=lambda s: s.min_generators))
-        for lvl in _walk(WHOLE, _genus_edges, max_genus, DEFAULT_NODE_CAP)))
+        raise GenusTooLarge(f"genus {max_genus} exceeds the catalog guard {MAX_CATALOG_GENUS}")
+    levels = [[0], [0b10]][:max_genus + 1]
+    while len(levels) <= max_genus:
+        levels.append(sorted((h for g in levels[-1]
+                              for x in range(g.bit_length(), g.bit_length() + _multiplicity(g))
+                              if _closed(h := g | 1 << x)), key=_bits))
+    return levels
 
 
-def _genus_edges(s: NumericalSemigroup):
-    """(S ∖ {x}, x) for each minimal generator x > F, ascending, built from Ap(S, m).
+def _gap_int(s: NumericalSemigroup, bound: int, name: str) -> int:
+    """The gap int of s, made only once the genus guard ``bound`` has passed."""
+    if s.genus > bound:
+        raise GenusTooLarge(f"genus {s.genus} exceeds the {name} guard {bound}")
+    return sum(1 << x for x in s.gaps)
 
-    Removing x ≠ m leaves m the multiplicity and raises w_{x mod m} = x by
-    m, since x + m is a member.  x = m exceeds F only when S is ordinary or
-    ℕ, and S ∖ {m} is then the ordinary semigroup of multiplicity m + 1.
+
+def _closed(g: int) -> bool:
+    """True iff the complement of gap int g is closed under addition.
+
+    ~g holds every member as a bit, so ~g << a holds a + every member;
+    only members a ≤ F/2 need shifting, as argued in the module docstring.
     """
-    m, ap = s.multiplicity, s._apery
-    for x in s.min_generators:
-        if x > s.frobenius:
-            yield (root(m + 1) if x == m
-                   else _from_apery(m, (*ap[:x % m], x + m, *ap[x % m + 1:]))), x
+    return not any(~g << a & g for a in range(1, (g.bit_length() + 1) // 2) if not g >> a & 1)
+
+
+def _multiplicity(g: int) -> int:
+    """The first clear bit of g above 0: adding 2 carries through the gaps 1..m−1."""
+    return (g + 2 & ~g).bit_length() - 1
+
+
+def _bits(g: int) -> str:
+    """The bits of g read from 0 up, to bit F."""
+    return bin(g)[:1:-1]
+
+
+def _semigroup(g: int) -> NumericalSemigroup:
+    """The semigroup with gap int g, from Ap(S, m): w_i is i + m·(the gaps ≡ i mod m)."""
+    m, bits = _multiplicity(g), _bits(g)
+    return _from_apery(m, tuple(i + m * bits[i::m].count("1") for i in range(m)))
+
+
+def _pf(g: int) -> list[int]:
+    """The gaps x of gap int g with x + n a member for every nonzero member n, ascending."""
+    nonzero = ~g & ~1
+    return [x for x in range(g.bit_length()) if g >> x & 1 and not nonzero << x & g]
+
+
+def _extensions(g: int):
+    """The closed gap ints between g and g less PF, g first, by a Gray-code walk.
+
+    Step k flips the PF member indexed by the lowest set bit of k, so the
+    2^t candidates come one at a time and O(t) ints are held, never 2^t.
+    """
+    flips = [1 << x for x in _pf(g)]
+    if len(flips) > MAX_ORACLE_TYPE:
+        raise TypeTooLarge(f"type {len(flips)} exceeds the oracle guard")
+    for k in range(1 << len(flips)):
+        g ^= k and flips[(k & -k).bit_length() - 1]  # k = 0 tests g itself
+        if _closed(g):
+            yield g
 
 
 def pf_bruteforce(s: NumericalSemigroup) -> set[int]:
-    """Gaps x with x + n a member for every nonzero member n.
-
-    Testing n up to F(s)+1 is exhaustive: for larger n the sum already
-    exceeds the Frobenius number.
-    """
-    if s.genus > MAX_ORACLE_GENUS:
-        raise GenusTooLarge(f"genus {s.genus} exceeds the oracle guard {MAX_ORACLE_GENUS}")
+    """Gaps x with x + n a member for every nonzero member n, by _pf."""
     if s.is_whole:
         raise WholeMonoid("the full monoid has no pseudo-Frobenius numbers")
-    nonzero = [n for n in s.small_elements if n]
-    return {x for x in s.gaps if all(x + n in s for n in nonzero)}
+    return set(_pf(_gap_int(s, MAX_ORACLE_GENUS, "oracle")))
 
 
 def extensions_bruteforce(s: NumericalSemigroup) -> list[NumericalSemigroup]:
     """Every semigroup between s and s ∪ PF(s), by trying all 2^t unions.
 
-    Independent of the pertinence shortcut: each candidate gets a direct
-    closure test over all pairs of nonzero members.  The members up to F
-    are the bits of one int, and the candidates come one at a time in
-    Gray-code order (step k flips the PF member indexed by the lowest set
-    bit of k), so O(t) ints are held, never 2^t.  A pair a ≤ b with
-    a + b ≤ F has a ≤ F/2, and a sum past F is a member, so a candidate
-    is closed iff (cand << a) & ~cand has no bit up to F for every member
-    a with m ≤ a ≤ F/2, m its least nonzero member.
+    Independent of the pertinence shortcut: each candidate gets the direct
+    closure test over all pairs of nonzero members (_extensions).
 
     The list runs by descending genus and, within a genus, by ascending
-    minimal generators, which is descending order of the member bits read
-    from 0 up.  Let A and B of equal genus first differ at x, a member of
-    A only.  Then x is a minimal generator of A, as a sum of two smaller
-    nonzero members of A would lie in B too; below x the two have the
-    same members, so the same generators; and B has a generator above x,
-    since otherwise its generators would be a proper prefix of A's and
+    minimal generators, which is ascending order of the gap bits read
+    from 0 up (_bits).  Let A and B of equal genus first differ at x, a
+    member of A only.  Then x is a minimal generator of A, as a sum of two
+    smaller nonzero members of A would lie in B too; below x the two have
+    the same members, so the same generators; and B has a generator above
+    x, since otherwise its generators would be a proper prefix of A's and
     generate a proper subset of A, which has more gaps.  So A comes first
-    both ways.  Each closed candidate is therefore kept as its genus (the
-    0s of its bit string), that string and m, and is built only after the
-    sort, from Ap(cand, m) read off the bits class by class by _from_apery,
-    with no round robin, no checked edit and no generators.
+    by generators; by bits too, as A's string has 0 at x or ends before
+    x, where B's has 1.  The candidates are sorted as gap ints and built
+    only afterwards, with no generators.
     """
     if s.is_whole:
         raise WholeMonoid("the full monoid is its only extension")
-    pf = sorted(pf_bruteforce(s))
-    if len(pf) > MAX_ORACLE_TYPE:
-        raise TypeTooLarge(f"type {len(pf)} exceeds the oracle guard")
-    f, closed = s.frobenius, []
-    low = (1 << f + 1) - 1  # bits 0..F
-    cand = sum(1 << x for x in s.small_elements if x <= f)
-    flips = [1 << x for x in pf]
-    for k in range(1 << len(pf)):
-        cand ^= k and flips[(k & -k).bit_length() - 1]  # k = 0 tests s itself
-        bits = bin(cand | low << f + 1)[:1:-1]  # LSB first, with F+1..2F+1 in
-        m, holes = bits.index("1", 1), cand ^ low
-        if not any(cand << a & holes for a in range(m, f // 2 + 1) if bits[a] == "1"):
-            closed.append((bits.count("0"), bits, m))  # bits differ, so m never decides
-    return [_from_apery(m, tuple(i + m * bits[i::m].index("1") for i in range(m)))
-            for _, bits, m in sorted(closed, reverse=True)]
+    closed = _extensions(_gap_int(s, MAX_ORACLE_GENUS, "oracle"))
+    return [_semigroup(g) for g in sorted(closed, key=lambda g: (-bin(g).count("1"), _bits(g)))]
 
 
 def min_ichain_bfs(s: NumericalSemigroup) -> int:
@@ -164,57 +200,41 @@ def min_ichain_bfs(s: NumericalSemigroup) -> int:
 
     Found without the closed form, by recursion over the ideal-extension
     graph: 0 for the full monoid, otherwise one more than the least value
-    over the proper extensions of s.  The graph is acyclic (a proper
-    extension has fewer gaps) and results are memoised across calls, keyed
-    by gap set: S ∪ A has the gaps of S less A, so each pertinent A gives
-    its extension's key without building it, and the extension is built
-    only on the first visit to that key.
+    over the proper extensions of s, which _extensions lists as gap ints.
     """
-    if s.genus > MAX_CATALOG_GENUS:
-        raise GenusTooLarge(
-            f"genus {s.genus} exceeds the catalog guard {MAX_CATALOG_GENUS}")
-    return _shortest(s, sum(1 << g for g in s.gaps))
+    return _shortest(_gap_int(s, MAX_CATALOG_GENUS, "catalog"))
 
 
-# Shortest chain length by gap set, one bit per gap; 0 is the full monoid.
-# A proper extension has fewer gaps, so the extension graph is acyclic and
-# the recursion ends.  Every node it reaches has genus at most the input's,
+# Shortest chain length by gap int; 0 is the full monoid.  A proper
+# extension has fewer gaps, so the extension graph is acyclic and the
+# recursion ends.  Every node it reaches has genus at most the input's,
 # which the guard keeps within MAX_CATALOG_GENUS = 12, so the memo holds at
 # most the 1413 semigroups of the genus-12 catalog.
 _steps = {0: 0}
 
 
-def _shortest(s: NumericalSemigroup, gaps: int) -> int:
-    if gaps not in _steps:
-        steps = []
-        for a in _pertinent(s)[1:]:  # () is s itself
-            key = gaps & ~sum(1 << x for x in a)
-            steps.append(_steps[key] if key in _steps else _shortest(_extend(s, a), key))
-        _steps[gaps] = 1 + min(steps)
-    return _steps[gaps]
+def _shortest(g: int) -> int:
+    if g not in _steps:
+        _steps[g] = 1 + min(_shortest(h) for h in _extensions(g) if h != g)
+    return _steps[g]
 
 
 def pf_gap_search(max_genus: int) -> list[tuple[NumericalSemigroup, int, int]]:
     """Semigroups where iterating the full PF selection overshoots.
 
     Returns (s, complexity, mu_pf) triples with mu_pf > complexity, in
-    catalog order.  The catalog runs by ascending genus, and S ∪ PF(S) has
-    fewer gaps than S, so each mu_pf is one more than the entry already
-    kept for S ∪ PF(S).  The entries are keyed by gap set, one bit per gap
-    as in _steps, and S ∪ PF(S) has the gaps of S less PF(S), so its entry
-    is read without building it.  The second route, in the tests, steps
-    each whole PF chain with the checked adjoin.
+    catalog order.  The catalog's gap ints run by ascending genus, and
+    S ∪ PF(S), whose gap int is g less PF(S), has fewer gaps than S, so
+    each mu_pf is one more than the entry already kept for it.  An object
+    is built only to read its complexity.  The second route, in the tests,
+    steps each whole PF chain with the checked adjoin.
     """
-    steps = {0: 0}
-    out = []
-    for s in enumerate_by_genus(max_genus).semigroups:
-        if s.is_whole:
-            continue
-        gaps = sum(1 << g for g in s.gaps)
-        k = steps[gaps] = 1 + steps[gaps & ~sum(1 << x for x in s.pseudo_frobenius())]
-        c = complexity(s)
-        if k > c:
-            out.append((s, c, k))
+    steps, out = {0: 0}, []
+    for lvl in _levels(max_genus)[1:]:
+        for g in lvl:
+            k = steps[g] = 1 + steps[g & ~sum(1 << x for x in _pf(g))]
+            if k > (c := complexity(s := _semigroup(g))):
+                out.append((s, c, k))
     return out
 
 
@@ -244,11 +264,9 @@ def check_complexity(catalog: GenusCatalog) -> str | None:
     """⌊F/m⌋+1 against the gamma chain and against the shortest i-chain."""
     for s in catalog.semigroups:
         c = complexity(s)
-        steps = mu(ThetaMap.GAMMA, s)
-        if c != steps:
+        if c != (steps := mu(ThetaMap.GAMMA, s)):
             return f"complexity mismatch at {s}: closed-form={c} gamma-chain={steps}"
-        shortest = min_ichain_bfs(s)
-        if c != shortest:
+        if c != (shortest := min_ichain_bfs(s)):
             return f"complexity mismatch at {s}: closed-form={c} bfs={shortest}"
     return None
 
@@ -258,14 +276,17 @@ def check_tree(catalog: GenusCatalog) -> str | None:
 
     A semigroup with multiplicity m and complexity c has genus at most
     c(m−1), so the catalog covers the whole (m, c) class whenever
-    c(m−1) ≤ max_genus.  The catalog must hold each semigroup once.  An
-    edge between covered classes must remove only generators of its
-    parent's top block (strictly between (⌊F/m⌋+1)m and (⌊F/m⌋+2)m), keep
-    m, add one to the complexity, and lead back to its parent under gamma.
+    c(m−1) ≤ max_genus.  The catalog must hold each semigroup once, and
+    as many of each genus as A007323 lists.  An edge between covered
+    classes must remove only generators of its parent's top block
+    (strictly between (⌊F/m⌋+1)m and (⌊F/m⌋+2)m), keep m, add one to the
+    complexity, and lead back to its parent under gamma.
     """
     gmax = catalog.max_genus
     if repeated := [s for s, n in Counter(catalog.semigroups).items() if n > 1]:
         return f"catalog repeats {repeated[0]}"
+    if (counts := catalog.counts()) != (known := list(A007323[:gmax + 1])):
+        return f"catalog counts {counts} differ from A007323 {known}"
     by_class: dict[tuple[int, int], list[NumericalSemigroup]] = {}
     for s in sorted(catalog.semigroups, key=lambda s: s.min_generators):
         if not s.is_whole:

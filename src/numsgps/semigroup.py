@@ -39,7 +39,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import count
-from math import gcd
+from math import gcd, inf
 
 from .errors import (
     FrobeniusTooLarge,
@@ -234,7 +234,8 @@ class NumericalSemigroup:
         return self._pf
 
     def leq(self, a: int, b: int) -> bool:
-        """The semigroup partial order: a <= b iff b - a is a member."""
+        """The semigroup partial order: a <= b iff b - a is a member; a and b are ints."""
+        _check_ints((a, b), -inf, "leq compares integers")
         return (b - a) in self
 
     # -- derived semigroups ----------------------------------------------

@@ -354,6 +354,11 @@ GOLDEN = [
     ("info <1> --json", "f0e4f721119ed4b6652274a13f6e3a86e6afeed46857dd56a0b11d57f7f59cb7"),
     ("verify --max-genus 5 --checks pf,tree --json",
      "f52a78109038b0f07ce4abfc9779bae02f224e2630e323465551e977f72b254b"),
+    # pinned while the oracle still built its catalog from minimal generators
+    ("verify --max-genus 12 --json",
+     "6e6d767a9f43fe178f7d4502b44ac0cb1cde6f925e1cbead6cea17e8e4bfce31"),
+    ("search-pf-gap --max-genus 12",
+     "0a326d55e9346c4ee9e1c21f1b531e0c3333eb618031df994c8ff4c9d91e2742"),
     # the sha256 of empty output
     ("chain <1>", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("search-pf-gap --max-genus 3",

@@ -1,5 +1,8 @@
+import ast
 import copy
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -26,19 +29,22 @@ def test_catalog_counts_match_known_sequence():
 
 
 def test_genus_walk_by_proof_matches_the_checked_walk():
-    # every parent of genus <= 10, node by node: the child built from
-    # Ap(S, m) equals the one the closure-checked without builds
+    # every level of genus <= 11, node by node: the gap ints the closure
+    # test keeps, in their order, are those of the children the
+    # closure-checked without builds, sorted by generators, and each built
+    # from its bits equals that child
     def checked(s):
         return [(s.without({x}), x) for x in s.min_generators if x > s.frobenius]
 
     def nodes(lvl):
-        return [(t, x, c._apery, c.min_generators) for t, c, x in lvl]
-    levels = zip(_walk(WHOLE, oracle._genus_edges, 11, DEFAULT_NODE_CAP),
-                 _walk(WHOLE, checked, 11, DEFAULT_NODE_CAP), strict=True)
+        return [(c._apery, c.min_generators) for c in lvl]
+    levels = zip(oracle._levels(11), _walk(WHOLE, checked, 11, DEFAULT_NODE_CAP), strict=True)
     sizes = []
-    for proof, check in levels:
-        assert nodes(proof) == nodes(check)
-        sizes.append(len(proof))
+    for ints, lvl in levels:
+        check = sorted((c for _, c, _ in lvl), key=lambda c: c.min_generators)
+        assert ints == [_gap_bits(c) for c in check]
+        assert nodes(map(oracle._semigroup, ints)) == nodes(check)
+        sizes.append(len(ints))
     assert tuple(sizes) == GENUS_COUNTS[:12]
 
 
@@ -137,7 +143,6 @@ def test_extension_routes_never_edit(catalog8, monkeypatch):
     # nor does the oracle share the fast route's pertinence or round robin
     for name in ("pertinent_sets", "_pertinent", "is_pertinent", "_extend"):
         monkeypatch.setattr(extensions, name, refuse)
-    monkeypatch.setattr(oracle, "_extend", refuse)
     monkeypatch.setattr(oracle, "ideal_extensions", refuse)
     monkeypatch.setattr(semigroup, "_from_generators", refuse)
     for s, exts in fast.items():
@@ -189,24 +194,24 @@ def test_extension_gaps_are_the_gaps_less_a(catalog10):
             assert _gap_bits(extensions._extend(s, p.members)) == _gap_bits(s) & ~mask, (s, p)
 
 
-def _counting_extend(monkeypatch):
-    """Empty the shortest-chain memo and record each extension it builds."""
-    built = []
+def _refuse(*args):
+    raise AssertionError("called")
 
-    def counted(s, a):
-        built.append(extensions._extend(s, a))
-        return built[-1]
+
+def _empty_memo_and_refuse_builds(monkeypatch):
+    """Empty the shortest-chain memo and make every semigroup build raise."""
     monkeypatch.setattr(oracle, "_steps", {0: 0})
-    monkeypatch.setattr(oracle, "_extend", counted)
-    return built
+    monkeypatch.setattr(oracle, "_from_apery", _refuse)
+    monkeypatch.setattr(extensions, "_extend", _refuse)
+    monkeypatch.setattr(semigroup, "_from_generators", _refuse)
 
 
 def test_min_ichain_bfs_builds_nothing_in_catalog_order(catalog10, monkeypatch):
-    # by ascending genus every proper extension is already in the memo
-    built = _counting_extend(monkeypatch)
+    # the recursion runs on gap ints, so it builds nothing at all, and by
+    # ascending genus each call adds one entry to the memo
+    _empty_memo_and_refuse_builds(monkeypatch)
     for s in catalog10.semigroups:
         assert min_ichain_bfs(s) == complexity(s), s
-    assert built == []
     assert len(oracle._steps) == len(catalog10.semigroups) == 478
 
 
@@ -220,12 +225,12 @@ def test_min_ichain_bfs_builds_each_reached_semigroup_once(catalog10, monkeypatc
                     seen.add(d)
                     todo.append(d)
         return seen
+    keys = {s: {_gap_bits(t) for t in reached(s)} for s in catalog10.by_genus[10]}
     for s in catalog10.by_genus[10]:
-        built = _counting_extend(monkeypatch)
+        _empty_memo_and_refuse_builds(monkeypatch)
         assert min_ichain_bfs(s) == complexity(s), s
-        assert len(built) == len(set(built)), s
-        # s is where the walk starts and the full monoid is in the memo from the start
-        assert set(built) == reached(s) - {s, WHOLE}, s
+        # one memo entry per reached gap set, the full monoid's 0 among them
+        assert set(oracle._steps) == keys[s], s
 
 
 def test_pf_gap_search(monkeypatch):
@@ -251,17 +256,12 @@ def test_pf_gap_search(monkeypatch):
         (s, c, k) for s in enumerate_by_genus(9).semigroups
         if not s.is_whole and (k := mu_pf(s)) > (c := complexity(s))]
     assert len(pf_gap_search(12)) == 551
-    # each chain length is read off the entry for the gaps of S less PF(S),
-    # so no extension is built
-    calls = []
-
-    def counted(s, a):
-        calls.append(s)
-        return extend(s, a)
-    extend = oracle._extend
-    monkeypatch.setattr(oracle, "_extend", counted)
-    pf_gap_search(8)
-    assert calls == []
+    # each chain length is read off the entry for the gap int less PF(S),
+    # so no extension is built and no pertinent set is found
+    expected = pf_gap_search(8)
+    monkeypatch.setattr(extensions, "_extend", _refuse)
+    monkeypatch.setattr(extensions, "_pertinent", _refuse)
+    assert pf_gap_search(8) == expected
 
 
 def test_all_checks_pass(catalog8):
@@ -334,6 +334,13 @@ def test_check_tree_reports_a_label_outside_the_top_block(monkeypatch):
         f"child {child} removes a generator outside (6, 9)")
 
 
+def test_check_tree_reports_counts_off_a007323():
+    cat = enumerate_by_genus(6)
+    short = GenusCatalog(6, (*cat.by_genus[:5], cat.by_genus[5][1:], *cat.by_genus[6:]))
+    assert check_tree(short) == ("catalog counts [1, 1, 2, 4, 7, 11, 23] "
+                                 "differ from A007323 [1, 1, 2, 4, 7, 12, 23]")
+
+
 def test_check_tree_reports_a_repeated_semigroup():
     cat = enumerate_by_genus(6)
     twice = NumericalSemigroup(3, 5, 7)
@@ -347,3 +354,33 @@ def test_a_catalog_deep_copies(catalog8):
     dup = copy.deepcopy(catalog8)
     assert dup == catalog8 and dup.counts() == catalog8.counts()
     assert dup.semigroups[5] is not catalog8.semigroups[5]
+
+
+def test_oracle_routes_share_nothing_with_the_fast_routes(catalog10, monkeypatch):
+    # with the fast route's generator rule, round robin, pertinence, trusted
+    # extension and tree walk all raising, the oracle's routes return what
+    # they return unpatched
+    nonwhole = [s for s in catalog10.semigroups if not s.is_whole]
+    pf = [pf_bruteforce(s) for s in nonwhole]
+    ext = [extensions_bruteforce(s) for s in nonwhole]
+    gap = pf_gap_search(9)
+    for module, name in ((semigroup, "_generators_above"), (semigroup, "_from_generators"),
+                         (extensions, "_pertinent"), (extensions, "_extend"), (oracle, "_walk")):
+        monkeypatch.setattr(module, name, _refuse)
+    monkeypatch.setattr(oracle, "_steps", {0: 0})
+    assert enumerate_by_genus(10) == catalog10
+    assert [pf_bruteforce(s) for s in nonwhole] == pf
+    assert [extensions_bruteforce(s) for s in nonwhole] == ext
+    assert [min_ichain_bfs(s) for s in catalog10.semigroups] == [
+        complexity(s) for s in catalog10.semigroups]
+    assert pf_gap_search(9) == gap
+
+
+def test_oracle_imports_what_its_docstring_lists():
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    boundary = ("chains", "extensions", "genealogy", "semigroup")
+    imported = {node.module: sorted(a.name for a in node.names) for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module in boundary}
+    listed = re.findall(rf"^    ({'|'.join(boundary)}): (.+)$", ast.get_docstring(tree), re.M)
+    assert imported == {module: sorted(names.split(", ")) for module, names in listed}
+    assert sorted(imported) == list(boundary)

@@ -171,6 +171,15 @@ def test_leq_partial_order():
     assert not s.leq(9, 5)
 
 
+@pytest.mark.parametrize("bad", ["5", 5.0, None, True])
+def test_leq_refuses_non_integers(bad):
+    s = NumericalSemigroup(5, 6, 8, 9)
+    with pytest.raises(ValueError, match="leq compares integers"):
+        s.leq(bad, 10)
+    with pytest.raises(ValueError, match="leq compares integers"):
+        s.leq(0, bad)
+
+
 def test_from_gaps():
     assert from_gaps({1, 2, 4}).min_generators == (3, 5, 7)
     assert from_gaps({1, 3}).min_generators == (2, 5)
