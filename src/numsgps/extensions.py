@@ -13,12 +13,13 @@ deciding PF(S) in ascending order, so the work follows the number of
 extensions rather than 2^t.
 
 Pertinence proves S ∪ A closed, so ideal_extensions builds S ∪ A without
-a closure check (_extend) and derives no generators.  When min A is above the
-multiplicity it lowers the Apéry set in place and reads the minimal
-generators off those of S; below it, S ∪ A = <msg(S) ∪ A> is built by the
-round robin modulo min A, which keeps the minimal generators it uses.  A
-PertinentSet may be built by hand with any members, so its extension()
-keeps the checked adjoin.
+a closure check (_extend), from Ap(S, m) alone: when min A is above the
+multiplicity it lowers the Apéry set in place; below it, S ∪ A =
+<{m} ∪ Ap(S, m) ∪ A> is built by the round robin modulo min A.  No
+extension reads or derives generators; only PF(S) does, once.  The
+pertinent sets come in the order of the extensions by genus and
+generators, so nothing is sorted afterwards.  A PertinentSet may be built
+by hand with any members, so its extension() keeps the checked adjoin.
 """
 from __future__ import annotations
 
@@ -96,38 +97,34 @@ def ideal_extensions(s: NumericalSemigroup, proper: bool = False) -> list[Numeri
     Includes s itself (A = ∅) unless ``proper`` is set.  Sorted by genus
     descending then msg lexicographic, so s comes first and the largest
     extension s ∪ PF(s) last.
+
+    That is the order of _pertinent, by size and then sorted members, so
+    no sort runs.  The genus of s ∪ A is g(s) − |A|.  For |A| = |B|, the
+    least integer where s ∪ A and s ∪ B differ is x = min(A △ B), and the
+    proof in oracle.extensions_bruteforce puts s ∪ A first by generators
+    iff x is in A.  A and B have the same members below x, so sorted A
+    comes before sorted B exactly then too.
     """
     found = _pertinent(s)
-    out = [_extend(s, a) for a in (found[1:] if proper else found)]  # () is s itself
-    out.sort(key=lambda d: (-d.genus, d.min_generators))
-    return out
+    return [_extend(s, a) for a in (found[1:] if proper else found)]  # () is s itself
 
 
 def _extend(s: NumericalSemigroup, a) -> NumericalSemigroup:
-    """S ∪ A for a pertinent A ⊆ PF(S), built without a closure check.
+    """S ∪ A for a pertinent A ⊆ PF(S), built from Ap(S, m) without a closure check.
 
-    If min A < m, min A is the new multiplicity and S ∪ A = <msg(S) ∪ A>,
-    built by the round robin modulo min A in O(k·min A), which keeps the
-    minimal generators, so none is derived.  Else each x in A lowers
-    w_{x mod m} from x + m to x, in O(|A|).  A generator g of S stays
-    minimal unless g - x is a nonzero member of S ∪ A for some x in A, and
-    x in A is minimal unless x is in A + A: for y in PF(S), y + s in S∖{0}
-    lies in S for every nonzero s in S, so x = y + s would put x in S.
-    That is O(e·|A| + |A|²), e the embedding dimension of S.
+    If min A < m, min A is the new multiplicity and S ∪ A =
+    <{m} ∪ Ap(S, m) ∪ A>, the set adjoin feeds the round robin, built
+    modulo min A; fed in ascending order, only the minimal generators make
+    a pass.  Else each x in A lowers w_{x mod m} from x + m to x, in O(|A|).
     """
     if not a:
         return s
-    m = s.multiplicity
+    m, ap = s.multiplicity, list(s._apery)
     if min(a) < m:
-        return _from_generators({*s.min_generators, *a})
-    ap = list(s._apery)
+        return _from_generators({m, *ap[1:], *a})
     for x in a:
         ap[x % m] = x
-    msg = [g for g in s.min_generators
-           if not any(g > x and g - x >= ap[(g - x) % m] for x in a)]
-    sums = {x + y for x in a for y in a}
-    msg += (x for x in a if x not in sums)
-    return _from_apery(m, tuple(ap), tuple(sorted(msg)))
+    return _from_apery(m, tuple(ap))
 
 
 def is_ideal_extension(s: NumericalSemigroup, delta: NumericalSemigroup) -> bool:

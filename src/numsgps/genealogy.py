@@ -118,8 +118,11 @@ def _walk(first, edges, depth: int, max_nodes: int, name=None):
     (parent, child, label) triples, level 0 being [(None, first, None)].
     Raises LevelTooLarge on the first node built, ``first`` included, past
     ``max_nodes``; the message calls the root ``name`` (default ``first``).
+    Every level of a multiplicity tree holds a node, as shift_embed maps
+    each level into the next, so depth ≥ max_nodes is refused before the
+    root is expanded.
     """
-    if max_nodes < 1:
+    if depth >= max_nodes:
         raise _too_large(name or first, max_nodes)
     lvl, built = [(None, first, None)], 1
     for _ in range(depth):

@@ -143,6 +143,19 @@ def _semigroup(g: int) -> NumericalSemigroup:
     return _from_apery(m, tuple(i + m * bits[i::m].count("1") for i in range(m)))
 
 
+def _name(s: NumericalSemigroup) -> str:
+    """s as a literal <g1,...>, its generators read off its gap int g.
+
+    They are the nonzero members up to F + m + 1 (F + m but for ℕ) that are
+    no sum of two nonzero members, so a report names what it found by the
+    oracle's own rule, not by the generators it may be checking.
+    """
+    g = _gap_int(s, MAX_ORACLE_GENUS, "oracle")
+    nonzero = [x for x in range(1, g.bit_length() + _multiplicity(g) + 1) if not g >> x & 1]
+    return "<" + ",".join(str(x) for x in nonzero
+                          if not any(~g >> (x - a) & 1 for a in nonzero if a < x)) + ">"
+
+
 def _pf(g: int) -> list[int]:
     """The gaps x of gap int g with x + n a member for every nonzero member n, ascending."""
     nonzero = ~g & ~1
@@ -244,7 +257,7 @@ def _first_mismatch(catalog: GenusCatalog, name: str, fast, slow, show) -> str |
     """The first member S ≠ ℕ of the catalog with fast(S) ≠ slow(S), reported by show."""
     for s in catalog.semigroups:
         if not s.is_whole and (a := fast(s)) != (b := slow(s)):
-            return f"{name} mismatch at {s}: fast={show(a)} brute={show(b)}"
+            return f"{name} mismatch at {_name(s)}: fast={show(a)} brute={show(b)}"
     return None
 
 
@@ -257,7 +270,7 @@ def check_pf(catalog: GenusCatalog) -> str | None:
 def check_extensions(catalog: GenusCatalog) -> str | None:
     """Pertinent-subset extensions against the closure-filter scan."""
     return _first_mismatch(catalog, "extensions", ideal_extensions, extensions_bruteforce,
-                           lambda ds: [str(d) for d in ds])
+                           lambda ds: [_name(d) for d in ds])
 
 
 def check_complexity(catalog: GenusCatalog) -> str | None:
@@ -265,9 +278,9 @@ def check_complexity(catalog: GenusCatalog) -> str | None:
     for s in catalog.semigroups:
         c = complexity(s)
         if c != (steps := mu(ThetaMap.GAMMA, s)):
-            return f"complexity mismatch at {s}: closed-form={c} gamma-chain={steps}"
+            return f"complexity mismatch at {_name(s)}: closed-form={c} gamma-chain={steps}"
         if c != (shortest := min_ichain_bfs(s)):
-            return f"complexity mismatch at {s}: closed-form={c} bfs={shortest}"
+            return f"complexity mismatch at {_name(s)}: closed-form={c} bfs={shortest}"
     return None
 
 
@@ -280,31 +293,32 @@ def check_tree(catalog: GenusCatalog) -> str | None:
     as many of each genus as A007323 lists.  An edge between covered
     classes must remove only generators of its parent's top block
     (strictly between (⌊F/m⌋+1)m and (⌊F/m⌋+2)m), keep m, add one to the
-    complexity, and lead back to its parent under gamma.
+    complexity, and lead back to its parent under gamma.  Each level is
+    compared with its class as a multiset; only a report sorts, by name.
     """
     gmax = catalog.max_genus
     if repeated := [s for s, n in Counter(catalog.semigroups).items() if n > 1]:
-        return f"catalog repeats {repeated[0]}"
+        return f"catalog repeats {_name(repeated[0])}"
     if (counts := catalog.counts()) != (known := list(A007323[:gmax + 1])):
         return f"catalog counts {counts} differ from A007323 {known}"
-    by_class: dict[tuple[int, int], list[NumericalSemigroup]] = {}
-    for s in sorted(catalog.semigroups, key=lambda s: s.min_generators):
+    by_class: dict[tuple[int, int], Counter] = {}
+    for s in catalog.semigroups:
         if not s.is_whole:
-            by_class.setdefault((s.multiplicity, complexity(s)), []).append(s)
+            by_class.setdefault((s.multiplicity, complexity(s)), Counter())[s] += 1
     for m in range(2, gmax + 2):
         # depth k holds complexity k+1, covered while (k+1)(m-1) <= gmax
         levels = _walk(root(m), child_edges, gmax // (m - 1) - 1, DEFAULT_NODE_CAP)
         for k, lvl in enumerate(levels):
             for t, child, removed in lvl if k else ():
                 if fault := _edge_fault(t, child, removed):
-                    return (f"tree edge mismatch at {t} minus {list(removed)}: "
-                            f"child {child} {fault}")
-            got = sorted((s for _, s, _ in lvl), key=lambda s: s.min_generators)
-            expected = by_class.get((m, k + 1), [])
+                    return (f"tree edge mismatch at {_name(t)} minus {list(removed)}: "
+                            f"child {_name(child)} {fault}")
+            got = Counter(s for _, s, _ in lvl)
+            expected = by_class.get((m, k + 1), Counter())
             if got != expected:
                 return (f"tree mismatch at m={m} c={k + 1}: "
-                        f"tree={[str(s) for s in got]} "
-                        f"catalog={[str(s) for s in expected]}")
+                        f"tree={sorted(map(_name, got.elements()))} "
+                        f"catalog={sorted(map(_name, expected.elements()))}")
     return None
 
 
@@ -319,7 +333,7 @@ def _edge_fault(t: NumericalSemigroup, child: NumericalSemigroup,
     if complexity(child) != complexity(t) + 1:
         return f"has complexity {complexity(child)}, parent {complexity(t)}"
     up = child.adjoin(theta_apply(ThetaMap.GAMMA, child))
-    return None if up == t else f"goes back to {up} under gamma"
+    return None if up == t else f"goes back to {_name(up)} under gamma"
 
 
 CHECKS = {

@@ -16,23 +16,20 @@ sum lowers to two Apéry elements, so one rule (_generators_above) finds
 them by membership tests alone.
 
 Ap(S, m) is the identity of an instance: equality and hashing compare it.
-Building and checking are apart.  _from_apery only builds, from an Apéry
-set closed by proof (the round robin, a gamma clamp, a tree node, an ideal
-extension, a candidate the brute-force oracle tested pair by pair).  A
-build that knows the minimal generators keeps them: the round robin
-(_from_generators) keeps the generators it uses, which for
-NumericalSemigroup(*gens), adjoin, without and a union <msg(S) ∪ A> with
-min A below m are exactly the minimal ones, and an ideal extension above
-m reads them off those of S.  Any other instance derives them from
-Ap(S, m) on first use; the pseudo-Frobenius numbers are read off them and
-Ap(S, m) on first use too, and these two are the only memos.  The small
-elements and the gaps are read off Ap(S, m) on each call.  Two edits check
-a candidate, both the same way, and neither costs more as F grows: each
-builds a semigroup that contains the result by the round robin and
-accepts it iff it has as many gaps as the result must have.  adjoin
-builds <Ap(S, m) ∪ {m} ∪ A>; without (behind from_gaps too) raises the
-Apéry set of the multiplicity n left past the removed members and builds
-<n, that set>.
+It is also the only thing a build takes or passes on.  Building and
+checking are apart.  _from_apery only builds, from an Apéry set closed by
+proof (the round robin, a gamma clamp, a tree node, an ideal extension, a
+candidate the brute-force oracle tested pair by pair).  No build reads or
+keeps minimal generators: every instance derives them from Ap(S, m) on
+first read, by _generators_above alone; the pseudo-Frobenius numbers are
+read off them and Ap(S, m) on first use too, and these two are the only
+memos.  The small elements and the gaps are read off Ap(S, m) on each
+call.  Two edits check a candidate, both the same way, and neither costs
+more as F grows: each builds a semigroup that contains the result by the
+round robin and accepts it iff it has as many gaps as the result must
+have.  adjoin builds <Ap(S, m) ∪ {m} ∪ A>; without (behind from_gaps too)
+raises the Apéry set of the multiplicity n left past the removed members
+and builds <n, that set>.
 """
 from __future__ import annotations
 
@@ -99,7 +96,7 @@ class NumericalSemigroup:
     multiplicity : int, smallest nonzero member
     """
 
-    __slots__ = ("_msg",  # memo: read by every sort key, by PF and by str
+    __slots__ = ("_msg",  # memo: read by PF, str and output sort keys, never by a build
                  "frobenius", "genus", "multiplicity", "_apery",
                  "_pf")  # memo: read twice per large_f query (pseudo_frobenius, pertinent_sets)
 
@@ -124,7 +121,7 @@ class NumericalSemigroup:
         raise AttributeError("NumericalSemigroup is immutable")
 
     def __reduce__(self):
-        return _from_apery, (self.multiplicity, self._apery, self._msg)
+        return _from_apery, (self.multiplicity, self._apery)
 
     # -- constructors -------------------------------------------------
 
@@ -164,7 +161,7 @@ class NumericalSemigroup:
 
     @property
     def min_generators(self) -> tuple[int, ...]:
-        """The unique minimal generating set: kept by the build, else derived from Ap(S, m)."""
+        """The unique minimal generating set, derived from Ap(S, m) on first read."""
         if self._msg is None:
             _set_msg(self, (self.multiplicity, *_generators_above(self._apery, 0)))
         return self._msg
@@ -204,7 +201,7 @@ class NumericalSemigroup:
 
     def issubset(self, other: "NumericalSemigroup") -> bool:
         """True iff every member of self is a member of other."""
-        return all(g in other for g in self.min_generators)
+        return all(x in other for x in (self.multiplicity, *self._apery[1:]))
 
     # -- classical invariants -------------------------------------------
 
@@ -212,9 +209,8 @@ class NumericalSemigroup:
         """The least member of each residue class mod n, for a nonzero member n."""
         if not isinstance(n, int) or isinstance(n, bool) or n <= 0 or n not in self:
             raise NotAMember(f"{n!r} is not a nonzero member of {self}")
-        if n == self.multiplicity:
-            return AperySet(n, self._apery)
-        return AperySet(n, _apery_mod(n, self.min_generators)[0])
+        m, ap = self.multiplicity, self._apery
+        return AperySet(n, ap if n == m else _apery_mod(n, (m, *sorted(ap[1:]))))
 
     def pseudo_frobenius(self) -> tuple[int, ...]:
         """The gaps x with x + s a member for every nonzero member s.
@@ -245,8 +241,8 @@ class NumericalSemigroup:
 
         m and Ap(S, m) generate S, so S ∪ A lies in <Ap(S, m) ∪ {m} ∪ A>,
         built by the round robin modulo min(m, min A) in O(m + e·n), e its
-        embedding dimension, keeping its minimal generators; it equals
-        S ∪ A iff it has g(S) − |A| gaps, so that count alone accepts it.
+        embedding dimension; it equals S ∪ A iff it has g(S) − |A| gaps, so
+        that count alone accepts it.
         Raises NotASemigroup if the enlarged set is not closed.
         """
         extra = set(extra)
@@ -275,13 +271,13 @@ class NumericalSemigroup:
 
         F(S ∖ R) = max(F(S), max R), so a removed member above MAX_FROBENIUS
         is refused before any work.  The multiplicity left is n, the least
-        member not in R, at most (|R| + 1)·m.  Ap(S, n) (the round robin if
-        n ≠ m) is raised in place: a w_i in R goes up by n until it leaves
-        R, O(n + |R|) in all, giving the least member of S ∖ R per class.
-        So <n, raised set> contains S ∖ R; built by the round robin, which
-        keeps its minimal generators, it equals S ∖ R, and S ∖ R is closed,
-        iff it has g(S) + |R| gaps.  On a refusal, each raised class is an
-        up-set unless a removed member lies above its new least member.
+        member not in R, at most (|R| + 1)·m.  Ap(S, n) (apery_set, a round
+        robin if n ≠ m) is raised in place: a w_i in R goes up by n until it
+        leaves R, O(n + |R|) in all, giving the least member of S ∖ R per
+        class.  So <n, raised set> contains S ∖ R; built by the round robin,
+        it equals S ∖ R, and S ∖ R is closed, iff it has g(S) + |R| gaps.
+        On a refusal, each raised class is an up-set unless a removed member
+        lies above its new least member.
         """
         if max(removed, default=0) > MAX_FROBENIUS:
             raise FrobeniusTooLarge(f"Frobenius number {max(removed)} exceeds {MAX_FROBENIUS}")
@@ -290,7 +286,7 @@ class NumericalSemigroup:
         m, old = self.multiplicity, self._apery
         member = lambda x: x not in removed and x >= old[x % m]  # noqa: E731
         n = next(filter(member, count(m)))
-        ap = list(old if n == m else _apery_mod(n, self.min_generators)[0])
+        ap = list(self.apery_set(n).elements)
         for x in removed:
             while ap[x % n] in removed:
                 ap[x % n] += n
@@ -351,24 +347,24 @@ def _check_multiplicity(m: int) -> None:
         raise MultiplicityTooLarge(f"multiplicity {m} exceeds {MAX_MULTIPLICITY}")
 
 
-def _apery_mod(n, generators) -> tuple[tuple[int, ...], list[int]]:
-    """Ap(S, n) for a member n of S = <generators>, in O(k·n) steps, and the generators used.
+def _apery_mod(n, generators) -> tuple[int, ...]:
+    """Ap(S, n) for a member n of S = <generators>, in O(k·n) steps.
 
     The round-robin algorithm of Böcker and Lipták (Algorithmica, 2007);
     n need not be a generator, nor the least one.  A generator a with
     a >= w_{a mod n} is already a member of the semigroup built so far, so
-    it is skipped.  Fed in ascending order after the least generator n, the
-    generators kept are then exactly the minimal ones other than n.  A
-    modulus over MAX_MULTIPLICITY is refused before its table is built.
+    it is skipped.  Fed in ascending order, every generator that is a sum
+    of smaller ones is skipped, so only the minimal generators make a
+    pass, and a generating set such as {m} ∪ Ap(S, m) costs one O(1) test
+    per extra member more than the minimal one.  A modulus over
+    MAX_MULTIPLICITY is refused before its table is built.
     """
     _check_multiplicity(n)
     inf = float("inf")
     ap = [0] + [inf] * (n - 1)
-    kept = []
     for a in generators:
         if a >= ap[a % n]:
             continue
-        kept.append(a)
         d = gcd(a, n)
         steps = range(n // d - 1)
         for r in range(d):  # walk the cycle r, r + a, ... from its least entry
@@ -379,31 +375,31 @@ def _apery_mod(n, generators) -> tuple[tuple[int, ...], list[int]]:
                 x += a
                 p = x % n
                 x = ap[p] = x if x < ap[p] else ap[p]
-    return tuple(ap), kept
+    return tuple(ap)
 
 
 def _from_generators(generators) -> NumericalSemigroup:
-    """<generators> by the round robin modulo the least, keeping the minimal generators it uses.
+    """<generators> by the round robin modulo the least, in ascending order.
 
     It only builds: the caller vouches that the generators have gcd 1 and
     a Frobenius number within MAX_FROBENIUS.  The least one is the
     multiplicity, which _apery_mod checks against MAX_MULTIPLICITY.
     """
     n, *gens = sorted(generators)
-    ap, kept = _apery_mod(n, gens)
-    return _from_apery(n, ap, (n, *kept))
+    return _from_apery(n, _apery_mod(n, gens))
 
 
-def _from_apery(m, ap, msg=None) -> NumericalSemigroup:
+def _from_apery(m, ap, _carried=None) -> NumericalSemigroup:
     """The semigroup with multiplicity m and Apéry set ``ap``, built as given.
 
     It only builds: the caller vouches that ``ap`` is Ap(S, m) of a
-    semigroup S, that m passed _check_multiplicity and that ``msg``, if
-    given, are its minimal generators in ascending order.  Nothing is
-    checked; without ``msg`` the minimal generators are derived on first use.
+    semigroup S and that m passed _check_multiplicity.  Nothing is checked,
+    and the minimal generators are derived on first read.  Pickles written
+    when instances carried their generators pass them as ``_carried``,
+    which is ignored.
     """
     s = object.__new__(NumericalSemigroup)
-    _set_msg(s, msg)
+    _set_msg(s, None)
     _set_frobenius(s, max(ap) - m)
     _set_genus(s, (sum(ap) - m * (m - 1) // 2) // m)  # sum of (w_i - i) / m, as w_i ≡ i mod m
     _set_multiplicity(s, m)

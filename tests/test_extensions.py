@@ -1,6 +1,7 @@
 import time
 
 import pytest
+from hypothesis import example, given
 
 from numsgps import semigroup
 from numsgps.errors import NotASemigroup, TypeTooLarge, WholeMonoid
@@ -9,6 +10,7 @@ from numsgps.extensions import (PertinentSet, ideal_extensions,
                                 pertinent_sets)
 from numsgps.oracle import extensions_bruteforce
 from numsgps.semigroup import WHOLE, NumericalSemigroup, from_gaps
+from test_properties import SETTINGS, high_type_semigroups
 
 S5689 = NumericalSemigroup(5, 6, 8, 9)
 
@@ -54,10 +56,15 @@ def test_ideal_extensions_example():
         (3, 5), (4, 5, 6), (5, 6, 7, 8, 9), (3, 4, 5), (3, 5, 7), (4, 5, 6, 7)}
 
 
-def test_ideal_extensions_order_is_genus_desc_then_msg():
-    exts = ideal_extensions(S5689)
+@SETTINGS
+@given(high_type_semigroups())
+@example(S5689)
+def test_ideal_extensions_order_is_genus_desc_then_msg(s):
+    # _pertinent's order, by size and then members, is this order, so
+    # nothing sorts it; the draws reach type 12, with PF below m
+    exts = ideal_extensions(s)
     keys = [(-d.genus, d.min_generators) for d in exts]
-    assert keys == sorted(keys)
+    assert keys == sorted(set(keys))
 
 
 def test_ideal_extensions_seven_of_eight_subsets():
@@ -160,13 +167,14 @@ def test_pertinent_set_is_frozen():
 
 @pytest.mark.parametrize("gens", [(48, 77, 101), (30, 31, 37, 41, 43), tuple(range(20, 40))])
 def test_ideal_extensions_run_no_kunz_pass(monkeypatch, gens):
-    # pertinence proves each S ∪ A closed; above m its generators come from
-    # S's, below m from the round robin
+    # pertinence proves each S ∪ A closed, and no extension reads generators:
+    # they are derived once, for S's own PF, and never for an extension
     calls = []
-    monkeypatch.setattr(semigroup, "_generators_above", lambda *a: calls.append(a))
+    derive = semigroup._generators_above
+    monkeypatch.setattr(semigroup, "_generators_above", lambda *a: calls.append(a) or derive(*a))
     s = NumericalSemigroup(*gens)
     exts = ideal_extensions(s)
-    assert calls == []
+    assert calls == [(s._apery, 0)]
     below = [d for d in exts if d.multiplicity < s.multiplicity]
     monkeypatch.undo()
     if gens[0] != 20:

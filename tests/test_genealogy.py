@@ -224,6 +224,17 @@ def test_node_cap_fires_before_the_children_exist(walk):
     assert time.process_time() - start < 0.05
 
 
+@pytest.mark.parametrize("walk", [lambda: count(2, 10**9), lambda: export_dot(2, 10**9)],
+                         ids=["count", "export_dot"])
+def test_node_cap_refuses_a_depth_past_it_first(walk):
+    # each level holds a node, so a depth past the default cap is refused
+    # before the root is expanded, not after 10^7 nodes
+    start = time.process_time()
+    with pytest.raises(LevelTooLarge, match="tree below <2,3> exceeds the cap of 10000000 nodes"):
+        walk()
+    assert time.process_time() - start < 0.1
+
+
 def test_count_monotone_in_complexity():
     for m in range(2, 7):
         counts = [count(m, c) for c in range(1, 7)]

@@ -294,6 +294,18 @@ def test_check_reports_name_the_first_counterexample(catalog8, monkeypatch):
     monkeypatch.setattr(oracle, "min_ichain_bfs", lambda s: 99)
     assert check_complexity(catalog8) == "complexity mismatch at <1>: closed-form=0 bfs=99"
 
+
+def test_reports_name_semigroups_by_the_oracle_rule(monkeypatch):
+    # a generator rule that drops its last generator breaks PF(<3,4>), which
+    # the report still calls <3,4>, not the <3> that str() would print; the
+    # tree derives its candidates through its own name for the rule, so it
+    # stays right, and check_tree reads no generator to compare it
+    derive = semigroup._generators_above
+    monkeypatch.setattr(semigroup, "_generators_above", lambda ap, bound: derive(ap, bound)[:-1])
+    assert check_pf(enumerate_by_genus(10)) == "pf mismatch at <3,4>: fast=[1, 5] brute=[5]"
+    assert check_tree(enumerate_by_genus(10)) is None
+
+
 def test_check_tree_covers_only_complete_classes(catalog8):
     # classes with c(m-1) <= 8 sit fully inside the catalog; spot-check
     # that the covered (4,2) class equals the tree output

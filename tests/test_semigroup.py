@@ -6,9 +6,10 @@ import pytest
 
 from brute import closure_witness, naive_members
 from numsgps import semigroup
-from numsgps.chains import _gamma_step, complexity
+from numsgps.chains import ThetaMap, _gamma_step, chain, complexity
 from numsgps.errors import (FrobeniusTooLarge, GcdNotOne, MultiplicityTooLarge,
                             NotAMember, NotASemigroup, WholeMonoid)
+from numsgps.extensions import _extend, _pertinent
 from numsgps.semigroup import (WHOLE, AperySet, NumericalSemigroup, from_gaps,
                                from_generators, type_of)
 
@@ -436,6 +437,16 @@ def test_pickle_round_trip(catalog10):
     assert pickle.loads(old) == NumericalSemigroup(5, 7)
 
 
+def test_pickles_that_carried_generators_load():
+    # pickle.dumps(NumericalSemigroup(5, 7), protocol=2) when pickles passed
+    # (m, Ap(S, m), minimal generators) to _from_apery
+    old = (b"\x80\x02cnumsgps.semigroup\n_from_apery\nq\x00K\x05(K\x00K\x15K\x07K\x1cK\x0etq"
+           b"\x01K\x05K\x07\x86q\x02\x87q\x03Rq\x04.")
+    s = pickle.loads(old)
+    assert s == NumericalSemigroup(5, 7) and s._msg is None
+    assert s.min_generators == (5, 7) and s.frobenius == 23
+
+
 def test_copies_are_equal():
     s = NumericalSemigroup(5, 6, 8, 9)
     assert copy.copy(s) == s and copy.deepcopy(s) == s
@@ -471,17 +482,43 @@ def test_multiplicity_guard_fires_before_the_rescan(monkeypatch):
 
 
 def test_round_robin_builds_keep_their_generators(monkeypatch):
-    # the round robin yields the minimal generators, so neither derives them,
-    # and a pickle carries Ap(S, m), so a gamma link pickles without deriving them either
+    # no build derives the minimal generators, nor does a pickle, which
+    # carries Ap(S, m) alone; the first read derives them once, into the memo
     calls = []
-    monkeypatch.setattr(semigroup, "_generators_above", lambda *a: calls.append(a))
+    derive = semigroup._generators_above
+    monkeypatch.setattr(semigroup, "_generators_above", lambda *a: calls.append(a) or derive(*a))
     t = NumericalSemigroup(4000, 4001).without({4000})
     assert t == NumericalSemigroup(4001, 8000, 8001, 12000)
-    assert t.min_generators == (4001, 8000, 8001, 12000)
     pickle.dumps(NumericalSemigroup(1001, 1003))
     link = _gamma_step(NumericalSemigroup(1001, 1003))
     assert pickle.loads(pickle.dumps(link)) == link
     assert calls == []
+    assert t.min_generators == (4001, 8000, 8001, 12000)
+    assert t.min_generators is t.min_generators
+    assert calls == [(t._apery, 0)]
+
+
+def test_builds_read_no_generators(monkeypatch):
+    # a gamma link is built from Ap(S, m) alone, so it carries no generators;
+    # its pertinent sets, taken first, reach below m = 5 and above it
+    link = _gamma_step(NumericalSemigroup(5, 7, 8, 9))
+    assert link._msg is None
+    found = _pertinent(link)
+    below, above = (4,), (6,)
+    assert below in found and above in found
+    expected = [link.without({5}), link.apery_set(7), link.adjoin({3, 6}),
+                link.adjoin(below), link.adjoin(above),
+                chain(ThetaMap.FROBENIUS_ONLY, link).links]
+
+    def refuse(*args):
+        raise AssertionError("generators derived")
+    monkeypatch.setattr(semigroup, "_generators_above", refuse)
+    link = _gamma_step(NumericalSemigroup(5, 7, 8, 9))  # afresh: PF(link) filled the memo
+    assert [link.without({5}), link.apery_set(7), link.adjoin({3, 6}),
+            _extend(link, below), _extend(link, above),
+            chain(ThetaMap.FROBENIUS_ONLY, link).links] == expected
+    assert link.issubset(expected[2]) and not expected[2].issubset(link)
+    assert pickle.loads(pickle.dumps(link)) == link
 
 
 def test_generators_and_pf_stay_memoised():
