@@ -44,8 +44,11 @@ __all__ = [
 ]
 
 # A chain keeps every link, and a gamma chain has ⌊F/m⌋ + 2 of them, up to
-# 2^39 + 1 within MAX_FROBENIUS; at about 0.4 kB a link (<2,200001>: 10^5
-# links, about 40 MB) a longer chain is refused before it is built.
+# 2^39 + 1 within MAX_FROBENIUS; a longer chain is refused before it is
+# built.  The cap bounds links, not memory: a link holds m Apéry entries,
+# about 0.4 kB at m = 2 (<2,200001>) but about 23.6 kB at m = 1024
+# (<1024,16001>), so a chain within the cap can still take gigabytes
+# (ROADMAP item 6).
 MAX_CHAIN_LINKS = 1 << 17
 
 

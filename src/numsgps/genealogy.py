@@ -17,9 +17,9 @@ children for each node with k removable generators.  A node's removable
 generators are the w_i above ⌊max w/m⌋·m that are no sum of two nonzero
 members, found by semigroup._generators_above, the rule that derives every
 instance's minimal generators; export_dot names each node by the same rule
-with no bound.  oracle.check_tree still certifies every edge it walks
-through child_edges, which builds each child with a closure-checked
-``without``.
+with no bound.  oracle.check_tree walks the same tuples by _walk and
+certifies every edge: the child read off its tuple must equal the
+parent's closure-checked ``without`` of the removed generators.
 
 Prepending a copy of m to a semigroup (shift_embed) maps each level
 injectively into the next, which is why the levels never shrink.
@@ -111,45 +111,35 @@ def children(t: NumericalSemigroup) -> list[NumericalSemigroup]:
     return [child for child, _ in child_edges(t)]
 
 
-def _walk(first, edges, depth: int, max_nodes: int, name=None):
-    """Breadth-first levels 0..depth of the tree ``edges`` grows from ``first``.
+def _walk(m: int, depth: int, max_nodes: int):
+    """Breadth-first levels 0..depth of the multiplicity-m tree, on Apéry tuples.
 
-    ``edges(t)`` iterates t's (child, label) pairs.  Each level is a list of
-    (parent, child, label) triples, level 0 being [(None, first, None)].
-    Raises LevelTooLarge on the first node built, ``first`` included, past
-    ``max_nodes``; the message calls the root ``name`` (default ``first``).
-    Every level of a multiplicity tree holds a node, as shift_embed maps
-    each level into the next, so depth ≥ max_nodes is refused before the
-    root is expanded.
+    Each level is a list of (parent, child, removed) triples, the child
+    grown from the parent by _apery_edges, level 0 being
+    [(None, Ap(root(m), m), None)].  Raises LevelTooLarge on the first
+    node past ``max_nodes``, the root included.  Every level holds a node,
+    as shift_embed maps each level into the next, so depth ≥ max_nodes is
+    refused before the root is expanded.
     """
+    r = root(m)
     if depth >= max_nodes:
-        raise _too_large(name or first, max_nodes)
-    lvl, built = [(None, first, None)], 1
+        raise _too_large(r, max_nodes)
+    lvl, built = [(None, r._apery, None)], 1
     for _ in range(depth):
         yield lvl
         nxt = []
-        for _, t, _ in lvl:
-            for child, label in edges(t):
+        for _, ap, _ in lvl:
+            for child, removed in _apery_edges(ap):
                 built += 1
                 if built > max_nodes:
-                    raise _too_large(name or first, max_nodes)
-                nxt.append((t, child, label))
+                    raise _too_large(r, max_nodes)
+                nxt.append((ap, child, removed))
         lvl = nxt
     yield lvl
 
 
-def _too_large(name, max_nodes):
-    return LevelTooLarge(f"tree below {name} exceeds the cap of {max_nodes} nodes")
-
-
-def _last_level(m, c, max_nodes):
-    """Apéry tuples of class (m, c), the depth c−1 level, in walk order."""
-    if c < 1:
-        raise ValueError("complexity must be at least 1")
-    r = root(m)
-    for lvl in _walk(r._apery, _apery_edges, c - 1, max_nodes, r):
-        pass
-    return [ap for _, ap, _ in lvl]
+def _too_large(r, max_nodes):
+    return LevelTooLarge(f"tree below {r} exceeds the cap of {max_nodes} nodes")
 
 
 def level(m: int, n: int, max_nodes: int = DEFAULT_NODE_CAP) -> TreeLevel:
@@ -165,9 +155,12 @@ def level(m: int, n: int, max_nodes: int = DEFAULT_NODE_CAP) -> TreeLevel:
 
 def enumerate_semigroups(m: int, c: int,
                          max_nodes: int = DEFAULT_NODE_CAP) -> list[NumericalSemigroup]:
-    """All numerical semigroups with multiplicity m and complexity c."""
-    members = (_from_apery(m, ap) for ap in _last_level(m, c, max_nodes))
-    return sorted(members, key=lambda s: s.min_generators)
+    """All numerical semigroups with multiplicity m and complexity c, the depth c−1 level."""
+    if c < 1:
+        raise ValueError("complexity must be at least 1")
+    for last in _walk(m, c - 1, max_nodes):
+        pass
+    return sorted((_from_apery(m, ap) for _, ap, _ in last), key=lambda s: s.min_generators)
 
 
 def count(m: int, c: int, max_nodes: int = DEFAULT_NODE_CAP) -> int:
@@ -179,13 +172,13 @@ def count(m: int, c: int, max_nodes: int = DEFAULT_NODE_CAP) -> int:
     the counted level as if it were built.
     """
     if c < 2:
-        return len(_last_level(m, c, max_nodes))
-    r, built = root(m), 0
-    for lvl in _walk(r._apery, _apery_edges, c - 2, max_nodes, r):
+        return len(enumerate_semigroups(m, c, max_nodes))
+    built = 0
+    for lvl in _walk(m, c - 2, max_nodes):
         built += len(lvl)
     leaves = sum(2 ** len(_candidates(ap)) - 1 for _, ap, _ in lvl)
     if built + leaves > max_nodes:
-        raise _too_large(r, max_nodes)
+        raise _too_large(root(m), max_nodes)
     return leaves
 
 
@@ -210,8 +203,8 @@ def export_dot(m: int, max_depth: int, max_nodes: int = DEFAULT_NODE_CAP) -> str
     """
     if max_depth < 0:
         raise ValueError("depth must be nonnegative")
-    nodes, edges, names, r = [], [], {}, root(m)
-    for lvl in _walk(r._apery, _apery_edges, max_depth, max_nodes, r):
+    nodes, edges, names = [], [], {}
+    for lvl in _walk(m, max_depth, max_nodes):
         for t, ap, removed in lvl:
             names[ap] = name = "<" + ",".join(str(g) for g in (m, *_generators_above(ap, 0))) + ">"
             nodes.append(f'  "{name}";')

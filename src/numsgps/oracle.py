@@ -25,11 +25,13 @@ and no round robin with the fast routes it checks.  It imports, by module:
 
     chains: ThetaMap, complexity, mu, theta_apply
     extensions: ideal_extensions
-    genealogy: DEFAULT_NODE_CAP, _walk, child_edges, root
+    genealogy: DEFAULT_NODE_CAP, _walk
     semigroup: NumericalSemigroup, _from_apery
 
-The first three lines are what the checks compare (check_tree walks
-the multiplicity tree through _walk); _from_apery is the one builder.
+The first three lines are what the checks compare: check_tree walks the
+multiplicity tree's Apéry tuples by _walk, the route that count, level
+and export_dot take, and compares each child read off a tuple with the
+parent's closure-checked ``without``.  _from_apery is the one builder.
 """
 from __future__ import annotations
 
@@ -37,9 +39,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .chains import ThetaMap, complexity, mu, theta_apply
-from .errors import GenusTooLarge, TypeTooLarge, WholeMonoid
+from .errors import GenusTooLarge, SemigroupError, TypeTooLarge, WholeMonoid
 from .extensions import ideal_extensions
-from .genealogy import DEFAULT_NODE_CAP, _walk, child_edges, root
+from .genealogy import DEFAULT_NODE_CAP, _walk
 from .semigroup import NumericalSemigroup, _from_apery
 
 __all__ = [
@@ -290,11 +292,14 @@ def check_tree(catalog: GenusCatalog) -> str | None:
     A semigroup with multiplicity m and complexity c has genus at most
     c(m−1), so the catalog covers the whole (m, c) class whenever
     c(m−1) ≤ max_genus.  The catalog must hold each semigroup once, and
-    as many of each genus as A007323 lists.  An edge between covered
-    classes must remove only generators of its parent's top block
-    (strictly between (⌊F/m⌋+1)m and (⌊F/m⌋+2)m), keep m, add one to the
-    complexity, and lead back to its parent under gamma.  Each level is
-    compared with its class as a multiset; only a report sorts, by name.
+    as many of each genus as A007323 lists.  The tree is walked on the
+    Apéry tuples that count, level and export_dot walk, and parent and
+    child are built from theirs.  An edge between covered classes must
+    remove only generators of its parent's top block (strictly between
+    (⌊F/m⌋+1)m and (⌊F/m⌋+2)m), give the child that the parent's
+    closure-checked ``without`` builds, add one to the complexity, and
+    lead back to its parent under gamma.  Each level is compared with its
+    class as a multiset; only a report sorts, by name.
     """
     gmax = catalog.max_genus
     if repeated := [s for s, n in Counter(catalog.semigroups).items() if n > 1]:
@@ -307,13 +312,13 @@ def check_tree(catalog: GenusCatalog) -> str | None:
             by_class.setdefault((s.multiplicity, complexity(s)), Counter())[s] += 1
     for m in range(2, gmax + 2):
         # depth k holds complexity k+1, covered while (k+1)(m-1) <= gmax
-        levels = _walk(root(m), child_edges, gmax // (m - 1) - 1, DEFAULT_NODE_CAP)
-        for k, lvl in enumerate(levels):
-            for t, child, removed in lvl if k else ():
-                if fault := _edge_fault(t, child, removed):
+        for k, lvl in enumerate(_walk(m, gmax // (m - 1) - 1, DEFAULT_NODE_CAP)):
+            got = Counter()
+            for p, ap, removed in lvl:
+                got[child := _from_apery(m, ap)] += 1
+                if p and (fault := _edge_fault(m, t := _from_apery(m, p), child, removed)):
                     return (f"tree edge mismatch at {_name(t)} minus {list(removed)}: "
                             f"child {_name(child)} {fault}")
-            got = Counter(s for _, s, _ in lvl)
             expected = by_class.get((m, k + 1), Counter())
             if got != expected:
                 return (f"tree mismatch at m={m} c={k + 1}: "
@@ -322,14 +327,17 @@ def check_tree(catalog: GenusCatalog) -> str | None:
     return None
 
 
-def _edge_fault(t: NumericalSemigroup, child: NumericalSemigroup,
+def _edge_fault(m: int, t: NumericalSemigroup, child: NumericalSemigroup,
                 removed: tuple[int, ...]) -> str | None:
-    m = t.multiplicity
     lo = (t.frobenius // m + 1) * m
     if not all(lo < x < lo + m for x in removed):
         return f"removes a generator outside ({lo}, {lo + m})"
-    if child.multiplicity != m:
-        return f"has multiplicity {child.multiplicity}"
+    try:
+        built = t.without(removed)
+    except SemigroupError as err:
+        return f"is refused by without: {err}"
+    if built != child:
+        return f"differs from {_name(built)}, which without builds"
     if complexity(child) != complexity(t) + 1:
         return f"has complexity {complexity(child)}, parent {complexity(t)}"
     up = child.adjoin(theta_apply(ThetaMap.GAMMA, child))

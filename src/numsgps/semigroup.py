@@ -360,7 +360,6 @@ def _apery_mod(n, generators) -> tuple[int, ...]:
     MAX_MULTIPLICITY is refused before its table is built.
     """
     _check_multiplicity(n)
-    inf = float("inf")
     ap = [0] + [inf] * (n - 1)
     for a in generators:
         if a >= ap[a % n]:

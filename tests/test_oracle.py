@@ -6,12 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from numsgps import extensions, oracle, semigroup
+from numsgps import cli, extensions, genealogy, oracle, semigroup
 from numsgps.chains import complexity
 from numsgps.errors import GenusTooLarge, TypeTooLarge, WholeMonoid
 from numsgps.extensions import ideal_extensions
-from numsgps.genealogy import DEFAULT_NODE_CAP, _walk
-from numsgps.genealogy import child_edges as genuine_child_edges
 from numsgps.oracle import (CHECKS, GenusCatalog, check_complexity,
                             check_extensions, check_pf, check_tree,
                             enumerate_by_genus, extensions_bruteforce,
@@ -33,18 +31,15 @@ def test_genus_walk_by_proof_matches_the_checked_walk():
     # test keeps, in their order, are those of the children the
     # closure-checked without builds, sorted by generators, and each built
     # from its bits equals that child
-    def checked(s):
-        return [(s.without({x}), x) for x in s.min_generators if x > s.frobenius]
-
     def nodes(lvl):
         return [(c._apery, c.min_generators) for c in lvl]
-    levels = zip(oracle._levels(11), _walk(WHOLE, checked, 11, DEFAULT_NODE_CAP), strict=True)
-    sizes = []
-    for ints, lvl in levels:
-        check = sorted((c for _, c, _ in lvl), key=lambda c: c.min_generators)
+    lvl, sizes = [WHOLE], []
+    for ints in oracle._levels(11):
+        check = sorted(lvl, key=lambda c: c.min_generators)
         assert ints == [_gap_bits(c) for c in check]
         assert nodes(map(oracle._semigroup, ints)) == nodes(check)
         sizes.append(len(ints))
+        lvl = [s.without({x}) for s in lvl for x in s.min_generators if x > s.frobenius]
     assert tuple(sizes) == GENUS_COUNTS[:12]
 
 
@@ -315,35 +310,82 @@ def test_check_tree_covers_only_complete_classes(catalog8):
     assert sorted(by_class, key=lambda s: s.min_generators) == enumerate_semigroups(4, 2)
 
 
+def _tamper_walk(monkeypatch, parent, real, fake=None, label=None):
+    """Make the tree walk yield ``fake``'s tuple or ``label`` on the edge parent → real."""
+    genuine = genealogy._apery_edges
+
+    def tampered(ap):
+        for c, r in genuine(ap):
+            edge = ap == parent._apery and c == real._apery
+            yield (fake._apery if edge and fake else c), (label if edge and label else r)
+    monkeypatch.setattr(genealogy, "_apery_edges", tampered)
+    return next(r for c, r in genuine(parent._apery) if c == real._apery)
+
+
 @pytest.mark.parametrize("parent, real, fake, fault", [
     ((3, 4, 5), (3, 5, 7), (3, 7, 11), "has complexity 3, parent 1"),
-    ((3, 4, 5), (3, 5, 7), (4, 5, 6, 7), "has multiplicity 4"),
+    ((3, 4, 5), (3, 5, 7), (3, 4, 5), "has complexity 1, parent 1"),
     ((3, 7, 8), (3, 8, 10), (3, 5), "goes back to <3,5,7> under gamma"),
 ])
 def test_check_tree_reports_a_tampered_edge(monkeypatch, parent, real, fake, fault):
+    # the walk and without share the fault: both give fake for the edge
+    # parent → real, so the complexity and gamma checks have to catch it
     parent, real, fake = (NumericalSemigroup(g) for g in (parent, real, fake))
-
-    def tampered(t):
-        return [(fake if t == parent and c == real else c, r)
-                for c, r in genuine_child_edges(t)]
-
-    monkeypatch.setattr(oracle, "child_edges", tampered)
-    removed = dict((c, r) for c, r in genuine_child_edges(parent))[real]
+    removed = _tamper_walk(monkeypatch, parent, real, fake=fake)
+    genuine = NumericalSemigroup.without
+    monkeypatch.setattr(NumericalSemigroup, "without", lambda t, r: (
+        fake if t == parent and tuple(r) == removed else genuine(t, r)))
     assert check_tree(enumerate_by_genus(6)) == (
         f"tree edge mismatch at {parent} minus {list(removed)}: child {fake} {fault}")
 
 
+def test_check_tree_reports_a_child_tuple_that_without_does_not_build(monkeypatch):
+    parent, real, fake = (NumericalSemigroup(g) for g in ((3, 4, 5), (3, 5, 7), (3, 7, 11)))
+    _tamper_walk(monkeypatch, parent, real, fake=fake)
+    assert check_tree(enumerate_by_genus(6)) == (
+        "tree edge mismatch at <3,4,5> minus [4]: "
+        "child <3,7,11> differs from <3,5,7>, which without builds")
+
+
 def test_check_tree_reports_a_label_outside_the_top_block(monkeypatch):
     parent, child = NumericalSemigroup(3, 7, 8), NumericalSemigroup(3, 8, 10)
-
-    def tampered(t):  # (3, 7, 8) minus {7} relabelled as minus {8, 10}
-        return [(c, (8, 10) if t == parent and c == child else r)
-                for c, r in genuine_child_edges(t)]
-
-    monkeypatch.setattr(oracle, "child_edges", tampered)
+    _tamper_walk(monkeypatch, parent, child, label=(8, 10))  # minus {7} relabelled
     assert check_tree(enumerate_by_genus(6)) == (
         f"tree edge mismatch at {parent} minus [8, 10]: "
         f"child {child} removes a generator outside (6, 9)")
+
+
+def test_verify_catches_a_walk_that_raises_by_2m(catalog10, monkeypatch):
+    # removing two generators at m > 3 raises the second by 2m, not m: count
+    # goes wrong, and check_tree, which walks the same tuples, says where
+    genuine = genealogy._apery_edges
+
+    def raise_by_2m(ap):
+        m = len(ap)
+        for c, r in genuine(ap):
+            if m > 3 and len(r) == 2:
+                i = r[1] % m
+                c = c[:i] + (c[i] + m,) + c[i + 1:]
+            yield c, r
+    monkeypatch.setattr(genealogy, "_apery_edges", raise_by_2m)
+    assert (genealogy.count(4, 3), genealogy.count(5, 3)) == (8, 36)  # 15 and 44 unpatched
+    assert check_tree(catalog10) == (
+        "tree edge mismatch at <4,5,6,7> minus [5, 6]: "
+        "child <4,7,9> differs from <4,7,9,10>, which without builds")
+    assert cli.main(["verify", "--max-genus", "10", "--checks", "tree"]) == 1
+
+
+def test_a_removal_without_refuses_is_a_counterexample(catalog10, monkeypatch, capsys):
+    # offering every Apéry element of the top block, not only the minimal
+    # generators, walks to sets that are no semigroup: a counterexample
+    # (exit 1), not a usage error (exit 2)
+    monkeypatch.setattr(genealogy, "_candidates", lambda ap: tuple(
+        sorted(w for w in ap if w > max(ap) // len(ap) * len(ap))))
+    report = ("tree edge mismatch at <3,4> minus [8]: child <3,4> is refused by without: "
+              "not closed under addition: 4 + 4 = 8 is missing")
+    assert check_tree(catalog10) == report
+    assert cli.main(["verify", "--max-genus", "10", "--checks", "tree"]) == 1
+    assert f"check tree: FAIL {report}" in capsys.readouterr().out
 
 
 def test_check_tree_reports_counts_off_a007323():
