@@ -15,11 +15,12 @@ extensions rather than 2^t.
 Pertinence proves S ∪ A closed, so ideal_extensions builds S ∪ A without
 a closure check (_extend), from Ap(S, m) alone: when min A is above the
 multiplicity it lowers the Apéry set in place; below it, S ∪ A =
-<{m} ∪ Ap(S, m) ∪ A> is built by the round robin modulo min A.  No
-extension reads or derives generators; only PF(S) does, once.  The
-pertinent sets come in the order of the extensions by genus and
-generators, so nothing is sorted afterwards.  A PertinentSet may be built
-by hand with any members, so its extension() keeps the checked adjoin.
+<{m} ∪ Ap(S, m) ∪ A> is built by the round robin modulo min A.  Nothing
+here reads or derives generators, nor does PF(S), which is read off
+Ap(S, m).  The pertinent sets come in the order of the extensions by
+genus and generators, so nothing is sorted afterwards.  A PertinentSet
+may be built by hand with any members, so its extension() keeps the
+checked adjoin.
 """
 from __future__ import annotations
 

@@ -32,6 +32,8 @@ The first three lines are what the checks compare: check_tree walks the
 multiplicity tree's Apéry tuples by _walk, the route that count, level
 and export_dot take, and compares each child read off a tuple with the
 parent's closure-checked ``without``.  _from_apery is the one builder.
+check_pf compares, besides PF, the generators that str(s) prints, by
+the fast rule, with _name(s), the oracle's own rule on the gap int.
 """
 from __future__ import annotations
 
@@ -148,14 +150,22 @@ def _semigroup(g: int) -> NumericalSemigroup:
 def _name(s: NumericalSemigroup) -> str:
     """s as a literal <g1,...>, its generators read off its gap int g.
 
-    They are the nonzero members up to F + m + 1 (F + m but for ℕ) that are
-    no sum of two nonzero members, so a report names what it found by the
-    oracle's own rule, not by the generators it may be checking.
+    With M the nonzero members up to F + m + 1, the OR of M << a over the
+    members a in M holds every sum of two of them, and the generators are
+    the members of M that it misses, so a report names what it found by
+    the oracle's own rule, not by the generators it may be checking.  A
+    set that fails _closed has no generators to name it by, so it is named
+    by its gaps.
     """
     g = _gap_int(s, MAX_ORACLE_GENUS, "oracle")
-    nonzero = [x for x in range(1, g.bit_length() + _multiplicity(g) + 1) if not g >> x & 1]
-    return "<" + ",".join(str(x) for x in nonzero
-                          if not any(~g >> (x - a) & 1 for a in nonzero if a < x)) + ">"
+    if not _closed(g):
+        return "set with gaps {" + ",".join(map(str, s.gaps)) + "}"
+    top = g.bit_length() + _multiplicity(g)
+    nonzero = ~g & (2 << top) - 2
+    sums = 0
+    for a in range(1, top + 1):
+        sums |= nonzero << a if nonzero >> a & 1 else 0
+    return "<" + ",".join(str(x) for x, b in enumerate(_bits(nonzero & ~sums)) if b == "1") + ">"
 
 
 def _pf(g: int) -> list[int]:
@@ -264,9 +274,14 @@ def _first_mismatch(catalog: GenusCatalog, name: str, fast, slow, show) -> str |
 
 
 def check_pf(catalog: GenusCatalog) -> str | None:
-    """pseudo_frobenius against the definitional scan."""
-    return _first_mismatch(catalog, "pf", lambda s: set(s.pseudo_frobenius()),
-                           pf_bruteforce, sorted)
+    """pseudo_frobenius against the definitional scan, then str against _name.
+
+    PF reads no generators, so the generators that str prints, by the fast
+    rule, are compared with the oracle's rule on their own.
+    """
+    return (_first_mismatch(catalog, "pf", lambda s: set(s.pseudo_frobenius()),
+                            pf_bruteforce, sorted)
+            or _first_mismatch(catalog, "generators", str, _name, str))
 
 
 def check_extensions(catalog: GenusCatalog) -> str | None:

@@ -16,20 +16,20 @@ sum lowers to two Apéry elements, so one rule (_generators_above) finds
 them by membership tests alone.
 
 Ap(S, m) is the identity of an instance: equality and hashing compare it.
-It is also the only thing a build takes or passes on.  Building and
-checking are apart.  _from_apery only builds, from an Apéry set closed by
-proof (the round robin, a gamma clamp, a tree node, an ideal extension, a
-candidate the brute-force oracle tested pair by pair).  No build reads or
-keeps minimal generators: every instance derives them from Ap(S, m) on
-first read, by _generators_above alone; the pseudo-Frobenius numbers are
-read off them and Ap(S, m) on first use too, and these two are the only
-memos.  The small elements and the gaps are read off Ap(S, m) on each
-call.  Two edits check a candidate, both the same way, and neither costs
-more as F grows: each builds a semigroup that contains the result by the
-round robin and accepts it iff it has as many gaps as the result must
-have.  adjoin builds <Ap(S, m) ∪ {m} ∪ A>; without (behind from_gaps too)
-raises the Apéry set of the multiplicity n left past the removed members
-and builds <n, that set>.
+It is also the only thing an instance holds besides F, g and m, all set
+at build time, and the only thing a build takes or passes on.  Building
+and checking are apart.  _from_apery only builds, from an Apéry set
+closed by proof (the round robin, a gamma clamp, a tree node, an ideal
+extension, a candidate the brute-force oracle tested pair by pair).
+Nothing is memoised: the minimal generators (by _generators_above), the
+pseudo-Frobenius numbers (the maximal Apéry elements, less m), the small
+elements and the gaps are read off Ap(S, m) on each call, and PF reads no
+generators.  Two edits check a candidate, both the same way, and neither
+costs more as F grows: each builds a semigroup that contains the result
+by the round robin and accepts it iff it has as many gaps as the result
+must have.  adjoin builds <Ap(S, m) ∪ {m} ∪ A>; without (behind from_gaps
+too) raises the Apéry set of the multiplicity n left past the removed
+members and builds <n, that set>.
 """
 from __future__ import annotations
 
@@ -88,7 +88,7 @@ class NumericalSemigroup:
 
     Attributes
     ----------
-    min_generators : tuple of int, the unique minimal generating set (memoised)
+    min_generators : tuple of int, the unique minimal generating set (read off Ap(S, m))
     small_elements : tuple of int, all members <= frobenius + 1 (read off Ap(S, m))
     gaps : tuple of int, all positive nonmembers (read off Ap(S, m))
     frobenius : int, largest gap (-1 for the full monoid)
@@ -96,9 +96,7 @@ class NumericalSemigroup:
     multiplicity : int, smallest nonzero member
     """
 
-    __slots__ = ("_msg",  # memo: read by PF, str and output sort keys, never by a build
-                 "frobenius", "genus", "multiplicity", "_apery",
-                 "_pf")  # memo: read twice per large_f query (pseudo_frobenius, pertinent_sets)
+    __slots__ = ("frobenius", "genus", "multiplicity", "_apery")
 
     def __new__(cls, *generators):
         if len(generators) == 1 and not isinstance(generators[0], int):
@@ -161,10 +159,8 @@ class NumericalSemigroup:
 
     @property
     def min_generators(self) -> tuple[int, ...]:
-        """The unique minimal generating set, derived from Ap(S, m) on first read."""
-        if self._msg is None:
-            _set_msg(self, (self.multiplicity, *_generators_above(self._apery, 0)))
-        return self._msg
+        """The unique minimal generating set, derived from Ap(S, m) on each read."""
+        return (self.multiplicity, *_generators_above(self._apery, 0))
 
     def __contains__(self, x) -> bool:
         return isinstance(x, int) and x >= 0 and x >= self._apery[x % self.multiplicity]
@@ -216,18 +212,24 @@ class NumericalSemigroup:
         """The gaps x with x + s a member for every nonzero member s.
 
         Computed as w - m over the maximal Apery elements w of the
-        multiplicity m under the partial order a <= b iff b - a in S.  As
-        Ap(S, m) is closed downwards in that order, w is maximal iff w + g
-        leaves it, w + g > w_{(w+g) mod m}, for every minimal generator
-        g ≠ m: O(e·m), e the embedding dimension.
+        multiplicity m under the partial order a <= b iff b - a in S.  An
+        element above w in that order within Ap(S, m) is w + v, v a nonzero
+        Apéry element, as Ap(S, m) is closed downwards; so w is maximal iff
+        no w + v is an Apéry element.  The v are scanned in ascending order
+        up to the first w + v past max w, or in Ap(S, m), which ends the
+        scan.  Read off Ap(S, m) alone, with no generators, in O(m²) steps
+        at worst.
         """
         if self.is_whole:
             raise WholeMonoid("the full monoid has no pseudo-Frobenius numbers")
-        if self._pf is None:
-            m, ap, gens = self.multiplicity, self._apery, self.min_generators[1:]
-            _set_pf(self, tuple(sorted(w - m for w in ap[1:]
-                                       if all(w + g > ap[(w + g) % m] for g in gens))))
-        return self._pf
+        m, apery, rest, pf = self.multiplicity, set(self._apery), sorted(self._apery)[1:], []
+        for w in rest:
+            for v in rest:
+                if w + v > rest[-1] or w + v in apery:
+                    break
+            if w + v > rest[-1]:
+                pf.append(w - m)
+        return tuple(pf)
 
     def leq(self, a: int, b: int) -> bool:
         """The semigroup partial order: a <= b iff b - a is a member; a and b are ints."""
@@ -276,23 +278,22 @@ class NumericalSemigroup:
         leaves R, O(n + |R|) in all, giving the least member of S ∖ R per
         class.  So <n, raised set> contains S ∖ R; built by the round robin,
         it equals S ∖ R, and S ∖ R is closed, iff it has g(S) + |R| gaps.
-        On a refusal, each raised class is an up-set unless a removed member
-        lies above its new least member.
+        On a refusal, the removed members above their class's new least
+        member are the holes that _witness starts from.
         """
         if max(removed, default=0) > MAX_FROBENIUS:
             raise FrobeniusTooLarge(f"Frobenius number {max(removed)} exceeds {MAX_FROBENIUS}")
         if not removed:
             return self
         m, old = self.multiplicity, self._apery
-        member = lambda x: x not in removed and x >= old[x % m]  # noqa: E731
-        n = next(filter(member, count(m)))
+        n = next(x for x in count(m) if x not in removed and x >= old[x % m])
         ap = list(self.apery_set(n).elements)
         for x in removed:
             while ap[x % n] in removed:
                 ap[x % n] += n
         s, gaps = _from_generators({n, *ap[1:]}), self.genus + len(removed)
         if s.genus != gaps:
-            _refuse(*_witness(n, ap, member, removed, all(x < ap[x % n] for x in removed)))
+            _refuse(*_witness(n, ap, [x for x in removed if x > ap[x % n]]))
         return s
 
     # -- canonical form ----------------------------------------------------
@@ -392,23 +393,20 @@ def _from_apery(m, ap, _carried=None) -> NumericalSemigroup:
     """The semigroup with multiplicity m and Apéry set ``ap``, built as given.
 
     It only builds: the caller vouches that ``ap`` is Ap(S, m) of a
-    semigroup S and that m passed _check_multiplicity.  Nothing is checked,
-    and the minimal generators are derived on first read.  Pickles written
-    when instances carried their generators pass them as ``_carried``,
-    which is ignored.
+    semigroup S and that m passed _check_multiplicity.  Nothing is checked.
+    Pickles written when instances carried their generators pass them as
+    ``_carried``, which is ignored.
     """
     s = object.__new__(NumericalSemigroup)
-    _set_msg(s, None)
     _set_frobenius(s, max(ap) - m)
     _set_genus(s, (sum(ap) - m * (m - 1) // 2) // m)  # sum of (w_i - i) / m, as w_i ≡ i mod m
     _set_multiplicity(s, m)
     _set_apery(s, ap)
-    _set_pf(s, None)
     return s
 
 
 # The slot setters, bound once: __setattr__ refuses every write.
-(_set_msg, _set_frobenius, _set_genus, _set_multiplicity, _set_apery, _set_pf) = (
+(_set_frobenius, _set_genus, _set_multiplicity, _set_apery) = (
     getattr(NumericalSemigroup, name).__set__ for name in NumericalSemigroup.__slots__)
 
 
@@ -458,16 +456,22 @@ def _adjoin_witness(s, plus):
                if p + q < ap[(p + q) % m] and p + q not in plus)
 
 
-def _witness(m, ap, member, suspects, prefix_closed):
+def _witness(m, ap, holes):
     """The lexicographically first (a, b), a <= b, with a + b a nonmember.
 
-    ``ap`` is the candidate's least member per class mod m and ``suspects``
-    the removed members.  If a class is no up-set, m + y leaves it for a
-    member y >= m, so a = m and m + b is the least suspect with b a member;
-    else a failing pair still fails with both lowered to Apéry elements.
+    ``ap`` is the candidate's least member per class mod m, m its least
+    nonzero member, and ``holes`` the removed members above their class's
+    least member.  If there is one, let h be the least.  Then h - m lies
+    in S, at or above its class's least member, which is not removed; were
+    h - m removed, it would be a hole below h.  So h - m is a member, and
+    nonzero, as m is not removed, so b = h - m >= m and a = m give the
+    missing sum h.  No member b < h - m fails with m: m + b would be a
+    removed member above b, a hole below h.  As every a >= m, (m, h - m)
+    comes first.  With no hole each class is an up-set, and a failing
+    pair still fails with both lowered to Apéry elements.
     """
-    if not prefix_closed:
-        return m, next(x - m for x in sorted(suspects) if member(x - m))
+    if holes:
+        return m, min(holes) - m
     for a in sorted(ap[1:]):
         least = [max(w, w - (w - a) // m * m) for w in ap]  # least member >= a, per class
         found = [b for j, b in enumerate(least) if a + b < ap[(a + j) % m]]

@@ -357,8 +357,8 @@ def test_export_dot_matches_level_and_child_edges(m):
 
 
 def test_child_edges_reads_the_parent_generators(monkeypatch):
-    # t's candidates are derived once; each checked child keeps the
-    # generators of its round robin and derives none
+    # t's candidates are derived once, and no checked child derives
+    # generators: without builds each from Apéry sets alone
     t = root(4).without({5, 6, 7})
     calls = []
 

@@ -291,13 +291,14 @@ def test_check_reports_name_the_first_counterexample(catalog8, monkeypatch):
 
 
 def test_reports_name_semigroups_by_the_oracle_rule(monkeypatch):
-    # a generator rule that drops its last generator breaks PF(<3,4>), which
-    # the report still calls <3,4>, not the <3> that str() would print; the
-    # tree derives its candidates through its own name for the rule, so it
-    # stays right, and check_tree reads no generator to compare it
+    # a generator rule that drops its last generator leaves PF, which reads
+    # no generators, right, but str(<2,3>) prints <2>, and the report names
+    # the semigroup <2,3> by the oracle's rule; the tree derives its
+    # candidates through its own name for the rule, so it stays right, and
+    # check_tree reads no generator to compare it
     derive = semigroup._generators_above
     monkeypatch.setattr(semigroup, "_generators_above", lambda ap, bound: derive(ap, bound)[:-1])
-    assert check_pf(enumerate_by_genus(10)) == "pf mismatch at <3,4>: fast=[1, 5] brute=[5]"
+    assert check_pf(enumerate_by_genus(10)) == "generators mismatch at <2,3>: fast=<2> brute=<2,3>"
     assert check_tree(enumerate_by_genus(10)) is None
 
 
@@ -378,11 +379,11 @@ def test_verify_catches_a_walk_that_raises_by_2m(catalog10, monkeypatch):
 def test_a_removal_without_refuses_is_a_counterexample(catalog10, monkeypatch, capsys):
     # offering every Apéry element of the top block, not only the minimal
     # generators, walks to sets that are no semigroup: a counterexample
-    # (exit 1), not a usage error (exit 2)
+    # (exit 1), not a usage error (exit 2), and named by its gaps
     monkeypatch.setattr(genealogy, "_candidates", lambda ap: tuple(
         sorted(w for w in ap if w > max(ap) // len(ap) * len(ap))))
-    report = ("tree edge mismatch at <3,4> minus [8]: child <3,4> is refused by without: "
-              "not closed under addition: 4 + 4 = 8 is missing")
+    report = ("tree edge mismatch at <3,4> minus [8]: child set with gaps {1,2,5,8} is "
+              "refused by without: not closed under addition: 4 + 4 = 8 is missing")
     assert check_tree(catalog10) == report
     assert cli.main(["verify", "--max-genus", "10", "--checks", "tree"]) == 1
     assert f"check tree: FAIL {report}" in capsys.readouterr().out

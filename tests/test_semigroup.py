@@ -10,6 +10,7 @@ from numsgps.chains import ThetaMap, _gamma_step, chain, complexity
 from numsgps.errors import (FrobeniusTooLarge, GcdNotOne, MultiplicityTooLarge,
                             NotAMember, NotASemigroup, WholeMonoid)
 from numsgps.extensions import _extend, _pertinent
+from numsgps.oracle import pf_bruteforce
 from numsgps.semigroup import (WHOLE, AperySet, NumericalSemigroup, from_gaps,
                                from_generators, type_of)
 
@@ -443,7 +444,7 @@ def test_pickles_that_carried_generators_load():
     old = (b"\x80\x02cnumsgps.semigroup\n_from_apery\nq\x00K\x05(K\x00K\x15K\x07K\x1cK\x0etq"
            b"\x01K\x05K\x07\x86q\x02\x87q\x03Rq\x04.")
     s = pickle.loads(old)
-    assert s == NumericalSemigroup(5, 7) and s._msg is None
+    assert s == NumericalSemigroup(5, 7)
     assert s.min_generators == (5, 7) and s.frobenius == 23
 
 
@@ -483,7 +484,7 @@ def test_multiplicity_guard_fires_before_the_rescan(monkeypatch):
 
 def test_round_robin_builds_keep_their_generators(monkeypatch):
     # no build derives the minimal generators, nor does a pickle, which
-    # carries Ap(S, m) alone; the first read derives them once, into the memo
+    # carries Ap(S, m) alone; each read derives them, as nothing is memoised
     calls = []
     derive = semigroup._generators_above
     monkeypatch.setattr(semigroup, "_generators_above", lambda *a: calls.append(a) or derive(*a))
@@ -494,15 +495,15 @@ def test_round_robin_builds_keep_their_generators(monkeypatch):
     assert pickle.loads(pickle.dumps(link)) == link
     assert calls == []
     assert t.min_generators == (4001, 8000, 8001, 12000)
-    assert t.min_generators is t.min_generators
     assert calls == [(t._apery, 0)]
+    assert t.min_generators == t.min_generators
+    assert calls == [(t._apery, 0)] * 3
 
 
 def test_builds_read_no_generators(monkeypatch):
-    # a gamma link is built from Ap(S, m) alone, so it carries no generators;
-    # its pertinent sets, taken first, reach below m = 5 and above it
+    # a gamma link is built from Ap(S, m) alone, and neither its edits nor
+    # its pertinent sets, which reach below m = 5 and above it, read generators
     link = _gamma_step(NumericalSemigroup(5, 7, 8, 9))
-    assert link._msg is None
     found = _pertinent(link)
     below, above = (4,), (6,)
     assert below in found and above in found
@@ -513,7 +514,8 @@ def test_builds_read_no_generators(monkeypatch):
     def refuse(*args):
         raise AssertionError("generators derived")
     monkeypatch.setattr(semigroup, "_generators_above", refuse)
-    link = _gamma_step(NumericalSemigroup(5, 7, 8, 9))  # afresh: PF(link) filled the memo
+    link = _gamma_step(NumericalSemigroup(5, 7, 8, 9))
+    assert _pertinent(link) == found
     assert [link.without({5}), link.apery_set(7), link.adjoin({3, 6}),
             _extend(link, below), _extend(link, above),
             chain(ThetaMap.FROBENIUS_ONLY, link).links] == expected
@@ -521,13 +523,20 @@ def test_builds_read_no_generators(monkeypatch):
     assert pickle.loads(pickle.dumps(link)) == link
 
 
-def test_generators_and_pf_stay_memoised():
-    # the two memos the workloads re-read: PF twice per large_f query
-    # (pseudo_frobenius, then pertinent_sets), the minimal generators by
-    # every sort key, by PF and by str; a gamma link derives both on first use
-    s = NumericalSemigroup(10, 13, 17)
-    link = _gamma_step(s)
-    assert link._msg is None
-    for t in (s, link):
-        assert t.pseudo_frobenius() is t.pseudo_frobenius()
-        assert t.min_generators is t.min_generators
+
+def test_pf_reads_no_generators(catalog12, monkeypatch):
+    # an instance holds Ap(S, m) and F, g, m, all set at build time, and
+    # PF is read off Ap(S, m) alone; <48,77,101>, <1000,1001> and
+    # <200,...,399> have maximal Apéry elements w whose every w + v passes
+    # max w, and <1000,1001>, past the oracle's genus guard, has PF = {F}
+    assert NumericalSemigroup.__slots__ == ("frobenius", "genus", "multiplicity", "_apery")
+    big = [NumericalSemigroup(48, 77, 101), NumericalSemigroup(range(200, 400))]
+    nonwhole = [s for s in catalog12.semigroups if not s.is_whole]
+    expected = [pf_bruteforce(s) for s in (*nonwhole, *big)]
+    two = NumericalSemigroup(1000, 1001)
+
+    def refuse(*args):
+        raise AssertionError("generators derived")
+    monkeypatch.setattr(semigroup, "_generators_above", refuse)
+    assert [set(s.pseudo_frobenius()) for s in (*nonwhole, *big)] == expected
+    assert two.pseudo_frobenius() == (two.frobenius,) == (1000 * 1001 - 1000 - 1001,)
