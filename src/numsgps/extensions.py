@@ -14,8 +14,10 @@ extensions rather than 2^t.
 
 Pertinence proves S ∪ A closed, so ideal_extensions builds S ∪ A without
 a closure check (_extend), from Ap(S, m) alone: when min A is above the
-multiplicity it lowers the Apéry set in place; below it, S ∪ A =
-<{m} ∪ Ap(S, m) ∪ A> is built by the round robin modulo min A.  Nothing
+multiplicity it lowers the Apéry set in place; below it, Ap(S ∪ A, min A)
+is read class by class off Ap(S, m) and A, unless the genus of S ∪ A
+exceeds m, when the round robin modulo min A builds <{m} ∪ Ap(S, m) ∪ A>
+instead (the cost rule in _extend).  Nothing
 here reads or derives generators, nor does PF(S), which is read off
 Ap(S, m).  The pertinent sets come in the order of the extensions by
 genus and generators, so nothing is sorted afterwards.  A PertinentSet
@@ -113,19 +115,36 @@ def ideal_extensions(s: NumericalSemigroup, proper: bool = False) -> list[Numeri
 def _extend(s: NumericalSemigroup, a) -> NumericalSemigroup:
     """S ∪ A for a pertinent A ⊆ PF(S), built from Ap(S, m) without a closure check.
 
-    If min A < m, min A is the new multiplicity and S ∪ A =
-    <{m} ∪ Ap(S, m) ∪ A>, the set adjoin feeds the round robin, built
-    modulo min A; fed in ascending order, only the minimal generators make
-    a pass.  Else each x in A lowers w_{x mod m} from x + m to x, in O(|A|).
+    If min A ≥ m, each x in A lowers w_{x mod m} from x + m to x, in O(|A|).
+    Else T = S ∪ A is closed by pertinence, and n = min A is its
+    multiplicity, as every nonzero member of S is at least m > n.  As x is
+    in T iff x is in A or x ≥ w_{x mod m}, entry i of Ap(T, n) is the first
+    of x = i, i + n, ... that passes that test: the read makes g(T) + n
+    tests in all, with g(T) = g(S) − |A| known before it starts.
+
+    Cost rule: read iff g(T) ≤ m, else build <{m} ∪ Ap(S, m) ∪ A> (the set
+    adjoin feeds) by the round robin modulo n.  That makes m + |A| − 1 feed
+    tests and at least one n-step pass whatever F is, so the read, at most
+    m + n tests, never costs more than its cheapest case.  So a large F with
+    a small PF member stays cheap: S = <4, 6, 4a + 1, 4a + 3> has 2 in PF(S)
+    and genus about 2a, and goes to the round robin.
     """
     if not a:
         return s
-    m, ap = s.multiplicity, list(s._apery)
-    if min(a) < m:
+    m, ap, n = s.multiplicity, s._apery, min(a)
+    if n >= m:
+        ap = list(ap)
+        for x in a:
+            ap[x % m] = x
+        return _from_apery(m, tuple(ap))
+    if s.genus - len(a) > m:
         return _from_generators({m, *ap[1:], *a})
-    for x in a:
-        ap[x % m] = x
-    return _from_apery(m, tuple(ap))
+    a, read = set(a), []
+    for x in range(n):
+        while x not in a and x < ap[x % m]:
+            x += n
+        read.append(x)
+    return _from_apery(n, tuple(read))
 
 
 def is_ideal_extension(s: NumericalSemigroup, delta: NumericalSemigroup) -> bool:

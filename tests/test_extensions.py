@@ -5,11 +5,12 @@ from hypothesis import example, given
 
 from numsgps import semigroup
 from numsgps.errors import NotASemigroup, TypeTooLarge, WholeMonoid
-from numsgps.extensions import (PertinentSet, ideal_extensions,
-                                is_ideal_extension, is_pertinent,
-                                pertinent_sets)
+from numsgps.extensions import (PertinentSet, _extend, _pertinent,
+                                ideal_extensions, is_ideal_extension,
+                                is_pertinent, pertinent_sets)
 from numsgps.oracle import extensions_bruteforce
-from numsgps.semigroup import WHOLE, NumericalSemigroup, from_gaps
+from numsgps.semigroup import (WHOLE, NumericalSemigroup, _from_generators,
+                               from_gaps)
 from test_properties import SETTINGS, high_type_semigroups
 
 S5689 = NumericalSemigroup(5, 6, 8, 9)
@@ -165,16 +166,74 @@ def test_pertinent_set_is_frozen():
         p.members = ()
 
 
+def _count_round_robins(monkeypatch) -> list[int]:
+    """The modulus of each _apery_mod call from here on, which _from_generators looks up."""
+    moduli, run = [], semigroup._apery_mod
+    monkeypatch.setattr(semigroup, "_apery_mod", lambda n, gens: moduli.append(n) or run(n, gens))
+    return moduli
+
+
+def test_extensions_below_m_run_the_round_robin_iff_genus_exceeds_m(monkeypatch, catalog10):
+    # the cost rule in _extend: an A with min A < m is read off Ap(S, m)
+    # unless g(S) − |A| > m; on the genus-10 catalog 164 of those 2709 A
+    # go to the round robin, modulo min A, in the order of the extensions
+    bases = [s for s in catalog10.semigroups if not s.is_whole]
+    below = [(s, a) for s in bases for a in _pertinent(s) if a and min(a) < s.multiplicity]
+    slow = [min(a) for s, a in below if s.genus - len(a) > s.multiplicity]
+    assert (len(below), len(slow)) == (2709, 164)
+    moduli = _count_round_robins(monkeypatch)
+    for s in bases:
+        ideal_extensions(s)
+    assert moduli == slow
+
+
+def test_large_f_with_a_small_pf_member_keeps_the_round_robin(monkeypatch):
+    # S = <4,6,4a+1,4a+3> has 2 in PF(S) and genus about 2a, so the three
+    # A ∋ 2 run the round robin mod 2; a read would step 2a times, so a wrong
+    # cost rule fails fast at a = 1000 before it would hang at a = 10^10
+    for a in (1000, 10**10):
+        s = NumericalSemigroup(4, 6, 4 * a + 1, 4 * a + 3)
+        moduli = _count_round_robins(monkeypatch)
+        start = time.process_time()
+        exts = ideal_extensions(s)
+        assert time.process_time() - start < 0.1
+        assert moduli == [2, 2, 2]
+        monkeypatch.undo()
+        assert [d.min_generators for d in exts] == [
+            (4, 6, 4 * a + 1, 4 * a + 3), (2, 4 * a + 1), (4, 6, 4 * a - 3),
+            (4, 6, 4 * a - 1, 4 * a + 1), (2, 4 * a - 1), (4, 6, 4 * a - 3, 4 * a - 1), (2, 4 * a - 3)]
+
+
+def test_both_builds_below_m_agree_on_the_genus_12_catalog(catalog12):
+    # every A with min A < m, read or not, against the round robin over
+    # {m} ∪ Ap(S, m) ∪ A, which the cost rule keeps for a large genus
+    n = 0
+    for s in catalog12.semigroups:
+        if s.is_whole:
+            continue
+        for a in _pertinent(s):
+            if a and min(a) < s.multiplicity:
+                got = _extend(s, a)
+                want = _from_generators({s.multiplicity, *s._apery[1:], *a})
+                assert (got._apery, got.genus, got.frobenius) == (want._apery, want.genus, want.frobenius)
+                n += 1
+    assert n == 12581
+
+
 @pytest.mark.parametrize("gens", [(48, 77, 101), (30, 31, 37, 41, 43), tuple(range(20, 40))])
 def test_ideal_extensions_run_no_kunz_pass(monkeypatch, gens):
     # pertinence proves each S ∪ A closed, and neither PF(S) nor any
-    # extension reads generators, so none are derived
+    # extension reads generators, so none are derived; below m the 2615
+    # extensions of <20,...,39> have genus at most 18 < m, so each is read
+    # off Ap(S, m) and none runs the round robin
     calls = []
     derive = semigroup._generators_above
     monkeypatch.setattr(semigroup, "_generators_above", lambda *a: calls.append(a) or derive(*a))
     s = NumericalSemigroup(*gens)
+    passes = _count_round_robins(monkeypatch)
     exts = ideal_extensions(s)
     assert calls == []
+    assert passes == []
     below = [d for d in exts if d.multiplicity < s.multiplicity]
     monkeypatch.undo()
     if gens[0] != 20:
