@@ -34,7 +34,6 @@ from .semigroup import NumericalSemigroup, _check_multiplicity, _from_apery, _ge
 __all__ = [
     "TreeLevel",
     "child_edges",
-    "children",
     "count",
     "enumerate_semigroups",
     "export_dot",
@@ -104,11 +103,6 @@ def _apery_edges(ap):
 def child_edges(t: NumericalSemigroup) -> list[tuple[NumericalSemigroup, tuple[int, ...]]]:
     """(child, removed generators) pairs for every nonempty removable subset."""
     return [(t.without(r), r) for _, r in _apery_edges(t._apery)]
-
-
-def children(t: NumericalSemigroup) -> list[NumericalSemigroup]:
-    """All semigroups whose gamma step leads back to t."""
-    return [child for child, _ in child_edges(t)]
 
 
 def _walk(m: int, depth: int, max_nodes: int):

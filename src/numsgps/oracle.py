@@ -11,17 +11,22 @@ command and the test suite both run these.
 
 Inside, a semigroup S is one int g, its gap set: bit x is set iff x is a
 gap, so F = bit_length − 1, m is the first clear bit above 0, and S ∪ A,
-for gaps A, is g with the bits of A cleared.  One closure test,
-_closed, does every job: the complement of g is closed iff
-(members << a) & g == 0 for each member 1 ≤ a ≤ F/2, since a pair
-a ≤ b with a + b ≤ F has a ≤ F/2 and a sum past F is a member.  The
-genus-tree children of S are the g | 1 << x with x in (F, F + m] that
-pass it; the extensions are the candidates between g and g less PF(S)
-that pass it; PF(S) is the gaps x with (nonzero members << x) & g == 0.
-An object is made only at the boundary, built from Ap(S, m) read off
-the bits class by class (_semigroup), and every genus guard fires before
-a gap int is made.  So the oracle shares no generators, no pertinence
-and no round robin with the fast routes it checks.  It imports, by module:
+for gaps A, is g with the bits of A cleared.  Two rules read it.  The
+generator rule, _generators, gives as a mask the nonzero members up to
+F + m + 1 that are no sum of two nonzero members; the genus-tree
+children of S are g | 1 << x for its bits x above F, and _int_name
+prints it.  The closure test, _closed, says the complement of g is
+closed iff (members << a) & g == 0 for each member m ≤ a ≤ F/2, since a
+pair a ≤ b with a + b ≤ F has a ≤ F/2 and a sum past F is a member; the
+extensions are the candidates between g and g less PF(S) that pass it,
+and _int_name names a set that fails it by its gaps.  PF(S) is the gaps
+x with (nonzero members << x) & g == 0.  The checks compare gap ints:
+a fast route's objects are read into ints, membership as ``x in s``
+reads it (_gap_int), and an oracle int becomes an object only where one
+is returned, built from Ap(S, m) read off the bits class by class
+(_semigroup).  Every genus guard fires before a gap int is made.  So the
+oracle shares no generators, no pertinence and no round robin with the
+fast routes it checks.  It imports, by module:
 
     chains: ThetaMap, complexity, mu, theta_apply
     extensions: ideal_extensions
@@ -33,7 +38,8 @@ multiplicity tree's Apéry tuples by _walk, the route that count, level
 and export_dot take, and compares each child read off a tuple with the
 parent's closure-checked ``without``.  _from_apery is the one builder.
 check_pf compares, besides PF, the generators that str(s) prints, by
-the fast rule, with _name(s), the oracle's own rule on the gap int.
+the fast rule, with _name(s), the oracle's generator rule on the gap
+int.
 """
 from __future__ import annotations
 
@@ -96,39 +102,67 @@ def enumerate_by_genus(max_genus: int) -> GenusCatalog:
 def _levels(max_genus: int) -> list[list[int]]:
     """The catalog's gap ints, one list per genus, each sorted by _bits.
 
-    A minimal generator x > F of S lies in (F, F + m], since x − m > F
-    would be a nonzero member, and S ∖ {x} is closed iff x is one, so the
-    children of g are the closed g | 1 << x for those x.  ℕ, with F = −1
-    by convention, has the one child 0b10, <2,3>.  Within one genus, the
-    order of _bits is the order by minimal generators (see
-    extensions_bruteforce).
+    S ∖ {x}, for a member x > F, is closed iff x is a minimal generator
+    of S, so the children of g are the g | 1 << x for the bits x above F
+    of _generators(g), all in (F, F + m] as x − m > F would be a nonzero
+    member.  ℕ, with F = −1 by convention, has the one generator 1 and
+    the one child 0b10, <2,3>.  Within one genus, the order of _bits is
+    the order by minimal generators (see extensions_bruteforce).
     """
     if max_genus < 0:
         raise ValueError("genus bound must be nonnegative")
     if max_genus > MAX_CATALOG_GENUS:
         raise GenusTooLarge(f"genus {max_genus} exceeds the catalog guard {MAX_CATALOG_GENUS}")
-    levels = [[0], [0b10]][:max_genus + 1]
+    levels = [[0]]
     while len(levels) <= max_genus:
-        levels.append(sorted((h for g in levels[-1]
-                              for x in range(g.bit_length(), g.bit_length() + _multiplicity(g))
-                              if _closed(h := g | 1 << x)), key=_bits))
+        levels.append(sorted((g | 1 << x for g in levels[-1]
+                              for x in _ones(_generators(g)) if x >= g.bit_length()), key=_bits))
     return levels
 
 
-def _gap_int(s: NumericalSemigroup, bound: int, name: str) -> int:
-    """The gap int of s, made only once the genus guard ``bound`` has passed."""
+def _gap_int(s: NumericalSemigroup, bound: int = MAX_ORACLE_GENUS, name: str = "oracle") -> int:
+    """The gap int of s, made only once the genus guard ``bound`` has passed.
+
+    A bit is set where ``x in s`` fails, read off Ap(S, m) as that test
+    reads it, so a wrong Apéry tuple gives a wrong int.
+    """
     if s.genus > bound:
         raise GenusTooLarge(f"genus {s.genus} exceeds the {name} guard {bound}")
-    return sum(1 << x for x in s.gaps)
+    m, ap = s.multiplicity, s._apery
+    return sum(1 << x for x in range(1, s.frobenius + 1) if x < ap[x % m])
 
 
 def _closed(g: int) -> bool:
     """True iff the complement of gap int g is closed under addition.
 
-    ~g holds every member as a bit, so ~g << a holds a + every member;
-    only members a ≤ F/2 need shifting, as argued in the module docstring.
+    ``members`` holds every member up to F as a bit, so members << a holds
+    a + each of them; only members m ≤ a ≤ F/2 need shifting, as argued
+    in the module docstring.
     """
-    return not any(~g << a & g for a in range(1, (g.bit_length() + 1) // 2) if not g >> a & 1)
+    f = g.bit_length()
+    members = ~g & (1 << f) - 1
+    for a in range(_multiplicity(g), (f + 1) // 2):
+        if members >> a & 1 and members << a & g:
+            return False
+    return True
+
+
+def _generators(g: int) -> int:
+    """The minimal generators of the complement of closed gap int g, as a mask.
+
+    With M the nonzero members up to top = F + m + 1, the OR of M << a
+    over the members m ≤ a ≤ top/2 holds every sum of two of them up to top,
+    since a ≤ b has a ≤ top/2, and the generators, all at most F + m, are
+    the members of M that it misses.
+    """
+    m = _multiplicity(g)
+    top = g.bit_length() + m
+    nonzero = ~g & (2 << top) - 2
+    sums = 0
+    for a in range(m, top // 2 + 1):
+        if nonzero >> a & 1:
+            sums |= nonzero << a
+    return nonzero & ~sums
 
 
 def _multiplicity(g: int) -> int:
@@ -141,6 +175,11 @@ def _bits(g: int) -> str:
     return bin(g)[:1:-1]
 
 
+def _ones(g: int) -> list[int]:
+    """The set bits of g, ascending."""
+    return [x for x, b in enumerate(_bits(g)) if b == "1"]
+
+
 def _semigroup(g: int) -> NumericalSemigroup:
     """The semigroup with gap int g, from Ap(S, m): w_i is i + m·(the gaps ≡ i mod m)."""
     m, bits = _multiplicity(g), _bits(g)
@@ -148,24 +187,20 @@ def _semigroup(g: int) -> NumericalSemigroup:
 
 
 def _name(s: NumericalSemigroup) -> str:
-    """s as a literal <g1,...>, its generators read off its gap int g.
+    """s as a literal <g1,...>, by _int_name on its gap int."""
+    return _int_name(_gap_int(s))
 
-    With M the nonzero members up to F + m + 1, the OR of M << a over the
-    members a in M holds every sum of two of them, and the generators are
-    the members of M that it misses, so a report names what it found by
-    the oracle's own rule, not by the generators it may be checking.  A
-    set that fails _closed has no generators to name it by, so it is named
-    by its gaps.
+
+def _int_name(g: int) -> str:
+    """Gap int g as a literal <g1,...>, its generators read by _generators.
+
+    So a report names what it found by the oracle's own rule, not by the
+    generators it may be checking.  A set that fails _closed has no
+    generators to name it by, so it is named by its gaps.
     """
-    g = _gap_int(s, MAX_ORACLE_GENUS, "oracle")
     if not _closed(g):
-        return "set with gaps {" + ",".join(map(str, s.gaps)) + "}"
-    top = g.bit_length() + _multiplicity(g)
-    nonzero = ~g & (2 << top) - 2
-    sums = 0
-    for a in range(1, top + 1):
-        sums |= nonzero << a if nonzero >> a & 1 else 0
-    return "<" + ",".join(str(x) for x, b in enumerate(_bits(nonzero & ~sums)) if b == "1") + ">"
+        return "set with gaps {" + ",".join(map(str, _ones(g))) + "}"
+    return "<" + ",".join(map(str, _ones(_generators(g)))) + ">"
 
 
 def _pf(g: int) -> list[int]:
@@ -193,7 +228,7 @@ def pf_bruteforce(s: NumericalSemigroup) -> set[int]:
     """Gaps x with x + n a member for every nonzero member n, by _pf."""
     if s.is_whole:
         raise WholeMonoid("the full monoid has no pseudo-Frobenius numbers")
-    return set(_pf(_gap_int(s, MAX_ORACLE_GENUS, "oracle")))
+    return set(_pf(_gap_int(s)))
 
 
 def extensions_bruteforce(s: NumericalSemigroup) -> list[NumericalSemigroup]:
@@ -211,13 +246,17 @@ def extensions_bruteforce(s: NumericalSemigroup) -> list[NumericalSemigroup]:
     x, since otherwise its generators would be a proper prefix of A's and
     generate a proper subset of A, which has more gaps.  So A comes first
     by generators; by bits too, as A's string has 0 at x or ends before
-    x, where B's has 1.  The candidates are sorted as gap ints and built
-    only afterwards, with no generators.
+    x, where B's has 1.  The candidates are sorted as gap ints
+    (_extension_ints) and built only afterwards, with no generators.
     """
+    return list(map(_semigroup, _extension_ints(s)))
+
+
+def _extension_ints(s: NumericalSemigroup) -> list[int]:
+    """The gap ints of extensions_bruteforce(s), in its order."""
     if s.is_whole:
         raise WholeMonoid("the full monoid is its only extension")
-    closed = _extensions(_gap_int(s, MAX_ORACLE_GENUS, "oracle"))
-    return [_semigroup(g) for g in sorted(closed, key=lambda g: (-bin(g).count("1"), _bits(g)))]
+    return sorted(_extensions(_gap_int(s)), key=lambda g: (-g.bit_count(), _bits(g)))
 
 
 def min_ichain_bfs(s: NumericalSemigroup) -> int:
@@ -285,9 +324,10 @@ def check_pf(catalog: GenusCatalog) -> str | None:
 
 
 def check_extensions(catalog: GenusCatalog) -> str | None:
-    """Pertinent-subset extensions against the closure-filter scan."""
-    return _first_mismatch(catalog, "extensions", ideal_extensions, extensions_bruteforce,
-                           lambda ds: [_name(d) for d in ds])
+    """Pertinent-subset extensions against the closure-filter scan, in order, as gap ints."""
+    return _first_mismatch(catalog, "extensions",
+                           lambda s: list(map(_gap_int, ideal_extensions(s))),
+                           _extension_ints, lambda gs: list(map(_int_name, gs)))
 
 
 def check_complexity(catalog: GenusCatalog) -> str | None:

@@ -53,7 +53,6 @@ __all__ = [
     "NumericalSemigroup",
     "from_gaps",
     "from_generators",
-    "type_of",
 ]
 
 # Inputs whose Frobenius number would pass this are refused outright;
@@ -74,9 +73,6 @@ class AperySet:
 
     modulus: int
     elements: tuple[int, ...]
-
-    def as_set(self) -> frozenset[int]:
-        return frozenset(self.elements)
 
 
 class NumericalSemigroup:
@@ -164,10 +160,6 @@ class NumericalSemigroup:
 
     def __contains__(self, x) -> bool:
         return isinstance(x, int) and x >= 0 and x >= self._apery[x % self.multiplicity]
-
-    def contains(self, x: int) -> bool:
-        """True iff x is a member (negative x never is)."""
-        return x in self
 
     def elements(self, limit: int):
         """Iterate the members x with 0 <= x <= limit in increasing order."""
@@ -328,11 +320,6 @@ class NumericalSemigroup:
 
 from_generators = NumericalSemigroup.from_generators
 from_gaps = NumericalSemigroup.from_gaps
-
-
-def type_of(s: NumericalSemigroup) -> int:
-    """The number of pseudo-Frobenius numbers (always <= multiplicity - 1)."""
-    return len(s.pseudo_frobenius())
 
 
 # -- construction internals -------------------------------------------------

@@ -5,7 +5,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from brute import closure_witness, naive_members
 from numsgps import cli, extensions, genealogy, oracle, semigroup
 from numsgps.chains import complexity
 from numsgps.errors import GenusTooLarge, TypeTooLarge, WholeMonoid
@@ -27,8 +30,8 @@ def test_catalog_counts_match_known_sequence():
 
 
 def test_genus_walk_by_proof_matches_the_checked_walk():
-    # every level of genus <= 11, node by node: the gap ints the closure
-    # test keeps, in their order, are those of the children the
+    # every level of genus <= 11, node by node: the gap ints the generator
+    # rule gives, in their order, are those of the children the
     # closure-checked without builds, sorted by generators, and each built
     # from its bits equals that child
     def nodes(lvl):
@@ -41,6 +44,43 @@ def test_genus_walk_by_proof_matches_the_checked_walk():
         sizes.append(len(ints))
         lvl = [s.without({x}) for s in lvl for x in s.min_generators if x > s.frobenius]
     assert tuple(sizes) == GENUS_COUNTS[:12]
+
+
+def test_children_by_generators_are_the_closed_candidates():
+    # the generator rule's bits above F, against the closure test on each
+    # of the m candidates in (F, F + m]; ℕ's one candidate there would be
+    # bit 0, so its child is checked on its own
+    for g in (g for lvl in oracle._levels(12)[1:] for g in lvl):
+        f, m = g.bit_length(), oracle._multiplicity(g)
+        gens = oracle._generators(g)
+        assert [g | 1 << x for x in range(f, f + m) if gens >> x & 1] == [
+            g | 1 << x for x in range(f, f + m) if oracle._closed(g | 1 << x)], bin(g)
+    assert oracle._generators(0) == 0b10 and oracle._levels(1) == [[0], [0b10]]  # <1>, <2,3>
+
+
+@st.composite
+def gap_sets(draw):
+    """The gaps of some <m, m+1, ...>, closed, with one integer flipped or not."""
+    m = draw(st.integers(2, 9))
+    gens = [m, m + 1, *draw(st.lists(st.integers(m + 2, 3 * m), max_size=2))]
+    gaps = set(range(1, m * m)) - naive_members(gens, m * m)
+    flip = draw(st.none() | st.integers(1, m * m))
+    return gaps ^ {flip} if flip else gaps
+
+
+@settings(max_examples=200, deadline=None)
+@given(gap_sets())
+def test_closed_agrees_with_the_pairwise_scan(gaps):
+    bound = max(gaps, default=0)
+    members = {x for x in range(bound + 1) if x not in gaps}
+    assert oracle._closed(sum(1 << x for x in gaps)) == (closure_witness(members, bound) is None)
+
+
+def test_gap_int_reads_membership_as_in_does(catalog12):
+    large = [NumericalSemigroup(48, 77, 101), NumericalSemigroup(121, 123),
+             NumericalSemigroup(5, 7), from_gaps(range(1, 200))]
+    for s in catalog12.semigroups + large:
+        assert oracle._gap_int(s) == _gap_bits(s), s
 
 
 def test_catalog_small_levels():
@@ -269,7 +309,7 @@ def test_checks_report_counterexamples(catalog8, monkeypatch):
     report = check_pf(catalog8)
     assert report is not None and "pf mismatch" in report
 
-    monkeypatch.setattr(oracle, "extensions_bruteforce", lambda s: [])
+    monkeypatch.setattr(oracle, "_extension_ints", lambda s: [])
     report = check_extensions(catalog8)
     assert report is not None and "extensions mismatch" in report
 
@@ -283,7 +323,7 @@ def test_checks_report_counterexamples(catalog8, monkeypatch):
 def test_check_reports_name_the_first_counterexample(catalog8, monkeypatch):
     monkeypatch.setattr(oracle, "pf_bruteforce", lambda s: {1})
     assert check_pf(catalog8) == "pf mismatch at <2,5>: fast=[3] brute=[1]"
-    monkeypatch.setattr(oracle, "extensions_bruteforce", lambda s: [])
+    monkeypatch.setattr(oracle, "_extension_ints", lambda s: [])
     assert check_extensions(catalog8) == (
         "extensions mismatch at <2,3>: fast=['<2,3>', '<1>'] brute=[]")
     monkeypatch.setattr(oracle, "min_ichain_bfs", lambda s: 99)
