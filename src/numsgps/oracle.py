@@ -20,11 +20,13 @@ closed iff (members << a) & g == 0 for each member m ≤ a ≤ F/2, since a
 pair a ≤ b with a + b ≤ F has a ≤ F/2 and a sum past F is a member; the
 extensions are the candidates between g and g less PF(S) that pass it,
 and _int_name names a set that fails it by its gaps.  PF(S) is the gaps
-x with (nonzero members << x) & g == 0.  The checks compare gap ints:
-a fast route's objects are read into ints, membership as ``x in s``
-reads it (_gap_int), and an oracle int becomes an object only where one
-is returned, built from Ap(S, m) read off the bits class by class
-(_semigroup).  Every genus guard fires before a gap int is made.  So the
+x with (nonzero members << x) & g == 0.  The oracle reads an int back
+into Ap(S, m), class by class off its bits (_apery), only at its edge:
+check_extensions compares those tuples with the fast route's, which is
+what equality of objects compares, and an object is built only where
+one is returned (_semigroup).  A fast route's object becomes an int, by
+its gaps (_gap_int), only to seed a scan or to be named.  Every genus
+guard fires before a gap int is made.  So the
 oracle shares no generators, no pertinence and no round robin with the
 fast routes it checks.  It imports, by module:
 
@@ -123,13 +125,14 @@ def _levels(max_genus: int) -> list[list[int]]:
 def _gap_int(s: NumericalSemigroup, bound: int = MAX_ORACLE_GENUS, name: str = "oracle") -> int:
     """The gap int of s, made only once the genus guard ``bound`` has passed.
 
-    A bit is set where ``x in s`` fails, read off Ap(S, m) as that test
-    reads it, so a wrong Apéry tuple gives a wrong int.
+    It reads only the x ≤ F, where Apéry tuples that differ can read the
+    same: one kept modulo a number that is not the multiplicity of what it
+    reads, or one with an entry of the wrong residue.  So the checks never
+    compare a fast route's objects by this int (see check_extensions).
     """
     if s.genus > bound:
         raise GenusTooLarge(f"genus {s.genus} exceeds the {name} guard {bound}")
-    m, ap = s.multiplicity, s._apery
-    return sum(1 << x for x in range(1, s.frobenius + 1) if x < ap[x % m])
+    return sum(1 << x for x in s.gaps)
 
 
 def _closed(g: int) -> bool:
@@ -180,15 +183,26 @@ def _ones(g: int) -> list[int]:
     return [x for x, b in enumerate(_bits(g)) if b == "1"]
 
 
-def _semigroup(g: int) -> NumericalSemigroup:
-    """The semigroup with gap int g, from Ap(S, m): w_i is i + m·(the gaps ≡ i mod m)."""
+def _apery(g: int) -> tuple[int, ...]:
+    """Ap(S, m) of gap int g: w_i is i + m·(the gaps ≡ i mod m)."""
     m, bits = _multiplicity(g), _bits(g)
-    return _from_apery(m, tuple(i + m * bits[i::m].count("1") for i in range(m)))
+    return tuple([i + m * bits[i::m].count("1") for i in range(m)])
+
+
+def _semigroup(g: int) -> NumericalSemigroup:
+    """The semigroup with gap int g, built from _apery(g)."""
+    return _from_apery(_multiplicity(g), _apery(g))
 
 
 def _name(s: NumericalSemigroup) -> str:
     """s as a literal <g1,...>, by _int_name on its gap int."""
     return _int_name(_gap_int(s))
+
+
+def _apery_name(ap: tuple[int, ...]) -> str:
+    """An Apéry tuple by _int_name, if it is Ap(S, m) of the gap int it reads, else as it is."""
+    g = _gap_int(_from_apery(len(ap), ap))
+    return _int_name(g) if _apery(g) == ap else f"Apéry tuple {ap}"
 
 
 def _int_name(g: int) -> str:
@@ -324,10 +338,16 @@ def check_pf(catalog: GenusCatalog) -> str | None:
 
 
 def check_extensions(catalog: GenusCatalog) -> str | None:
-    """Pertinent-subset extensions against the closure-filter scan, in order, as gap ints."""
+    """Pertinent-subset extensions against the closure-filter scan, in order.
+
+    Each side is a list of Apéry tuples, which is what equality of objects
+    compares: the fast route's as built, the oracle's read off its sorted
+    gap ints (_apery), so no oracle object is built.
+    """
     return _first_mismatch(catalog, "extensions",
-                           lambda s: list(map(_gap_int, ideal_extensions(s))),
-                           _extension_ints, lambda gs: list(map(_int_name, gs)))
+                           lambda s: [d._apery for d in ideal_extensions(s)],
+                           lambda s: list(map(_apery, _extension_ints(s))),
+                           lambda aps: list(map(_apery_name, aps)))
 
 
 def check_complexity(catalog: GenusCatalog) -> str | None:

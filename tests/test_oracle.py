@@ -76,11 +76,19 @@ def test_closed_agrees_with_the_pairwise_scan(gaps):
     assert oracle._closed(sum(1 << x for x in gaps)) == (closure_witness(members, bound) is None)
 
 
-def test_gap_int_reads_membership_as_in_does(catalog12):
+def test_gap_int_reads_back_into_the_apery_tuple(catalog12):
+    # the oracle reads an int back into Ap(S, m) class by class, and check_ext
+    # compares that with the fast route's tuple; the gaps come from a second
+    # route too, the members by the naive sieve
     large = [NumericalSemigroup(48, 77, 101), NumericalSemigroup(121, 123),
              NumericalSemigroup(5, 7), from_gaps(range(1, 200))]
     for s in catalog12.semigroups + large:
-        assert oracle._gap_int(s) == _gap_bits(s), s
+        g = oracle._gap_int(s)
+        assert oracle._apery(g) == s._apery, s
+    for s in large:
+        f = s.frobenius
+        gaps = set(range(1, f + 1)) - naive_members(s.min_generators, f)
+        assert oracle._gap_int(s) == sum(1 << x for x in gaps), s
 
 
 def test_catalog_small_levels():
@@ -328,6 +336,37 @@ def test_check_reports_name_the_first_counterexample(catalog8, monkeypatch):
         "extensions mismatch at <2,3>: fast=['<2,3>', '<1>'] brute=[]")
     monkeypatch.setattr(oracle, "min_ichain_bfs", lambda s: 99)
     assert check_complexity(catalog8) == "complexity mismatch at <1>: closed-form=0 bfs=99"
+
+
+def _lower_under_m(s, a):
+    # _extend's min A >= m branch for every A: an entry of Ap(S, m) lowered to
+    # each x in A, so with 1 in A the tuple is kept modulo m, not modulo 1
+    m, ap = s.multiplicity, list(s._apery)
+    for x in a:
+        ap[x % m] = x
+    return semigroup._from_apery(m, tuple(ap))
+
+
+def _wrong_residue(s):
+    # <3,4,5> built as (0, 3, 5): w_1 = 3 has residue 0, and its gaps up to F
+    # read as those of <3,4,5>
+    return [semigroup._from_apery(3, (0, 3, 5)) if d._apery == (0, 4, 5) else d
+            for d in ideal_extensions(s)]
+
+
+@pytest.mark.parametrize("module, name, fault, report", [
+    (extensions, "_extend", _lower_under_m,
+     "extensions mismatch at <2,3>: fast=['<2,3>', 'Apéry tuple (0, 1)'] brute=['<2,3>', '<1>']"),
+    (oracle, "ideal_extensions", _wrong_residue,
+     "extensions mismatch at <3,4,5>: fast=['Apéry tuple (0, 3, 5)', '<2,3>', '<1>'] "
+     "brute=['<3,4,5>', '<2,3>', '<1>']"),
+], ids=["kept_modulo_m", "wrong_residue"])
+def test_check_ext_reports_a_tuple_whose_gaps_read_right(catalog8, monkeypatch,
+                                                         module, name, fault, report):
+    # each faulty tuple reads, up to its F, the gap int of the right answer, so
+    # only a comparison of the tuples themselves reports it
+    monkeypatch.setattr(module, name, fault)
+    assert check_extensions(catalog8) == report
 
 
 def test_reports_name_semigroups_by_the_oracle_rule(monkeypatch):
