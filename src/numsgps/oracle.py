@@ -40,8 +40,8 @@ multiplicity tree's Apéry tuples by _walk, the route that count, level
 and export_dot take, and compares each child read off a tuple with the
 parent's closure-checked ``without``.  _from_apery is the one builder.
 check_pf compares, besides PF, the generators that str(s) prints, by
-the fast rule, with _name(s), the oracle's generator rule on the gap
-int.
+the fast rule, with _int_name of its gap int, the oracle's generator
+rule.
 """
 from __future__ import annotations
 
@@ -195,14 +195,9 @@ def _semigroup(g: int) -> NumericalSemigroup:
 
 
 def _name(s: NumericalSemigroup) -> str:
-    """s as a literal <g1,...>, by _int_name on its gap int."""
-    return _int_name(_gap_int(s))
-
-
-def _apery_name(ap: tuple[int, ...]) -> str:
-    """An Apéry tuple by _int_name, if it is Ap(S, m) of the gap int it reads, else as it is."""
-    g = _gap_int(_from_apery(len(ap), ap))
-    return _int_name(g) if _apery(g) == ap else f"Apéry tuple {ap}"
+    """s by _int_name on its gap int if its tuple is Ap(S, m) of that int, else as its tuple."""
+    g = _gap_int(s)
+    return _int_name(g) if _apery(g) == s._apery else f"Apéry tuple {s._apery}"
 
 
 def _int_name(g: int) -> str:
@@ -327,14 +322,14 @@ def _first_mismatch(catalog: GenusCatalog, name: str, fast, slow, show) -> str |
 
 
 def check_pf(catalog: GenusCatalog) -> str | None:
-    """pseudo_frobenius against the definitional scan, then str against _name.
+    """pseudo_frobenius against the definitional scan, then str against _int_name.
 
     PF reads no generators, so the generators that str prints, by the fast
     rule, are compared with the oracle's rule on their own.
     """
     return (_first_mismatch(catalog, "pf", lambda s: set(s.pseudo_frobenius()),
                             pf_bruteforce, sorted)
-            or _first_mismatch(catalog, "generators", str, _name, str))
+            or _first_mismatch(catalog, "generators", str, lambda s: _int_name(_gap_int(s)), str))
 
 
 def check_extensions(catalog: GenusCatalog) -> str | None:
@@ -342,12 +337,16 @@ def check_extensions(catalog: GenusCatalog) -> str | None:
 
     Each side is a list of Apéry tuples, which is what equality of objects
     compares: the fast route's as built, the oracle's read off its sorted
-    gap ints (_apery), so no oracle object is built.
+    gap ints (_apery), so no oracle object is built.  An extension has no
+    more gaps than its member, so it is a catalog member too, and each
+    tuple is read once per call (``read``).
     """
+    read = {}
     return _first_mismatch(catalog, "extensions",
                            lambda s: [d._apery for d in ideal_extensions(s)],
-                           lambda s: list(map(_apery, _extension_ints(s))),
-                           lambda aps: list(map(_apery_name, aps)))
+                           lambda s: [read.get(g) or read.setdefault(g, _apery(g))
+                                      for g in _extension_ints(s)],
+                           lambda aps: [_name(_from_apery(len(ap), ap)) for ap in aps])
 
 
 def check_complexity(catalog: GenusCatalog) -> str | None:
