@@ -26,9 +26,9 @@ check_extensions compares those tuples with the fast route's, which is
 what equality of objects compares, and an object is built only where
 one is returned (_semigroup).  A fast route's object becomes an int, by
 its gaps (_gap_int), only to seed a scan or to be named.  Every genus
-guard fires before a gap int is made.  So the
-oracle shares no generators, no pertinence and no round robin with the
-fast routes it checks.  It imports, by module:
+guard fires before a gap int is made.  So the oracle shares no
+generators, no pertinence and no round robin with the fast routes it
+checks.  It imports, by module:
 
     chains: ThetaMap, complexity, mu, theta_apply
     extensions: ideal_extensions
