@@ -19,7 +19,7 @@ print()
 
 ap = s.apery_set(5)
 print(f"Apery set of S at 5: the least member in each residue class mod 5")
-for i, w in enumerate(ap.elements):
+for i, w in enumerate(ap):
     print(f"  class {i} (mod 5): {w}")
 print()
 

@@ -5,14 +5,12 @@ generators from the top block of the parent.  Depth k holds exactly
 the semigroups of multiplicity m and complexity k+1, each exactly
 once, so counting a level counts a complexity class.
 """
-from numsgps import (count, enumerate_semigroups, export_dot, level,
-                     root, shift_embed)
+from numsgps import count, enumerate_semigroups, export_dot, root, shift_embed
 
 m = 3
 print(f"levels of the multiplicity-{m} tree:")
 for depth in range(4):
-    row = level(m, depth)
-    names = ", ".join(str(s) for s in row.members)
+    names = ", ".join(str(s) for s in enumerate_semigroups(m, depth + 1))
     print(f"  depth {depth} (complexity {depth + 1}): {names}")
 print()
 

@@ -11,7 +11,7 @@ enumerates them all.
 
 The walk runs on Apéry tuples Ap(T, m): removing the generator w_i raises
 w_i by m, so count and export_dot build no semigroup object past the root,
-and level and enumerate build only the last level.  count does not build
+and enumerate_semigroups builds only the last level.  count does not build
 its last level at all: it stops one level short and counts 2^k − 1
 children for each node with k removable generators.  A node's removable
 generators are the w_i above ⌊max w/m⌋·m that are no sum of two nonzero
@@ -26,33 +26,20 @@ injectively into the next, which is why the levels never shrink.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import LevelTooLarge, WholeMonoid
 from .semigroup import NumericalSemigroup, _check_multiplicity, _from_apery, _generators_above
 
 __all__ = [
-    "TreeLevel",
     "child_edges",
     "count",
     "enumerate_semigroups",
     "export_dot",
-    "level",
     "removal_candidates",
     "root",
     "shift_embed",
 ]
 
 DEFAULT_NODE_CAP = 10_000_000
-
-
-@dataclass(frozen=True)
-class TreeLevel:
-    """All semigroups of multiplicity ``multiplicity`` at depth ``depth``."""
-
-    multiplicity: int
-    depth: int
-    members: tuple[NumericalSemigroup, ...]
 
 
 def root(m: int) -> NumericalSemigroup:
@@ -136,20 +123,14 @@ def _too_large(r, max_nodes):
     return LevelTooLarge(f"tree below {r} exceeds the cap of {max_nodes} nodes")
 
 
-def level(m: int, n: int, max_nodes: int = DEFAULT_NODE_CAP) -> TreeLevel:
-    """The depth-n level of the multiplicity-m tree, sorted by generators.
-
-    Raises LevelTooLarge as soon as the tree down to depth n passes
-    ``max_nodes`` nodes.
-    """
-    if n < 0:
-        raise ValueError("depth must be nonnegative")
-    return TreeLevel(m, n, tuple(enumerate_semigroups(m, n + 1, max_nodes)))
-
-
 def enumerate_semigroups(m: int, c: int,
                          max_nodes: int = DEFAULT_NODE_CAP) -> list[NumericalSemigroup]:
-    """All numerical semigroups with multiplicity m and complexity c, the depth c−1 level."""
+    """All numerical semigroups with multiplicity m and complexity c, sorted by generators.
+
+    They are the depth c−1 level of the multiplicity-m tree.  Raises
+    LevelTooLarge as soon as the tree down to that depth passes
+    ``max_nodes`` nodes.
+    """
     if c < 1:
         raise ValueError("complexity must be at least 1")
     for last in _walk(m, c - 1, max_nodes):

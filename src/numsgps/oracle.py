@@ -36,9 +36,10 @@ checks.  It imports, by module:
     semigroup: NumericalSemigroup, _from_apery
 
 The first three lines are what the checks compare: check_tree walks the
-multiplicity tree's Apéry tuples by _walk, the route that count, level
-and export_dot take, and compares each child read off a tuple with the
-parent's closure-checked ``without``.  _from_apery is the one builder.
+multiplicity tree's Apéry tuples by _walk, the route that count,
+enumerate_semigroups and export_dot take, and compares each child read
+off a tuple with the parent's closure-checked ``without``.  _from_apery
+is the one builder.
 check_pf compares, besides PF, the generators that str(s) prints, by
 the fast rule, with _int_name of its gap int, the oracle's generator
 rule.
@@ -367,10 +368,10 @@ def check_tree(catalog: GenusCatalog) -> str | None:
     c(m−1), so the catalog covers the whole (m, c) class whenever
     c(m−1) ≤ max_genus.  The catalog must hold each semigroup once, and
     as many of each genus as A007323 lists.  The tree is walked on the
-    Apéry tuples that count, level and export_dot walk, and parent and
-    child are built from theirs.  An edge between covered classes must
-    remove only generators of its parent's top block (strictly between
-    (⌊F/m⌋+1)m and (⌊F/m⌋+2)m), give the child that the parent's
+    Apéry tuples that count, enumerate_semigroups and export_dot walk, and
+    parent and child are built from theirs.  An edge between covered
+    classes must remove only generators of its parent's top block (strictly
+    between (⌊F/m⌋+1)m and (⌊F/m⌋+2)m), give the child that the parent's
     closure-checked ``without`` builds, add one to the complexity, and
     lead back to its parent under gamma.  Each level is compared with its
     class as a multiset; only a report sorts, by name.

@@ -34,7 +34,6 @@ members and builds <n, that set>.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import count
 from math import gcd, inf
 
@@ -49,10 +48,8 @@ from .errors import (
 
 __all__ = [
     "WHOLE",
-    "AperySet",
     "NumericalSemigroup",
     "from_gaps",
-    "from_generators",
 ]
 
 # Inputs whose Frobenius number would pass this are refused outright;
@@ -61,18 +58,6 @@ MAX_FROBENIUS = 1 << 40
 # Ap(S, m) has m entries and a round robin modulo m up to m·e steps, e the
 # embedding dimension, so a larger multiplicity is refused before either is built.
 MAX_MULTIPLICITY = 4096
-
-
-@dataclass(frozen=True)
-class AperySet:
-    """The least member of each residue class modulo a nonzero member.
-
-    ``elements[i]`` is the least member congruent to i (mod ``modulus``),
-    so ``elements[0]`` is always 0 and there are exactly ``modulus`` entries.
-    """
-
-    modulus: int
-    elements: tuple[int, ...]
 
 
 class NumericalSemigroup:
@@ -118,11 +103,6 @@ class NumericalSemigroup:
         return _from_apery, (self.multiplicity, self._apery)
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def from_generators(cls, generators) -> "NumericalSemigroup":
-        """The semigroup generated by ``generators`` (need not be minimal)."""
-        return cls(tuple(generators))
 
     @classmethod
     def from_gaps(cls, gaps) -> "NumericalSemigroup":
@@ -193,12 +173,12 @@ class NumericalSemigroup:
 
     # -- classical invariants -------------------------------------------
 
-    def apery_set(self, n: int) -> AperySet:
-        """The least member of each residue class mod n, for a nonzero member n."""
+    def apery_set(self, n: int) -> tuple[int, ...]:
+        """(w_0, ..., w_{n-1}), w_i the least member ≡ i mod n, for a nonzero member n."""
         if not isinstance(n, int) or isinstance(n, bool) or n <= 0 or n not in self:
             raise NotAMember(f"{n!r} is not a nonzero member of {self}")
         m, ap = self.multiplicity, self._apery
-        return AperySet(n, ap if n == m else _apery_mod(n, (m, *sorted(ap[1:]))))
+        return ap if n == m else _apery_mod(n, (m, *sorted(ap[1:])))
 
     def pseudo_frobenius(self) -> tuple[int, ...]:
         """The gaps x with x + s a member for every nonzero member s.
@@ -265,11 +245,12 @@ class NumericalSemigroup:
 
         F(S ∖ R) = max(F(S), max R), so a removed member above MAX_FROBENIUS
         is refused before any work.  The multiplicity left is n, the least
-        member not in R, at most (|R| + 1)·m.  Ap(S, n) (apery_set, a round
-        robin if n ≠ m) is raised in place: a w_i in R goes up by n until it
-        leaves R, O(n + |R|) in all, giving the least member of S ∖ R per
-        class.  So <n, raised set> contains S ∖ R; built by the round robin,
-        it equals S ∖ R, and S ∖ R is closed, iff it has g(S) + |R| gaps.
+        member not in R, at most (|R| + 1)·m.  The tuple Ap(S, n) that
+        apery_set returns (by a round robin if n ≠ m) is copied and raised:
+        a w_i in R goes up by n until it leaves R, O(n + |R|) in all, giving
+        the least member of S ∖ R per class.  So <n, raised set> contains
+        S ∖ R; built by the round robin, it equals S ∖ R, and S ∖ R is
+        closed, iff it has g(S) + |R| gaps.
         On a refusal, the removed members above their class's new least
         member are the holes that _witness starts from.
         """
@@ -279,7 +260,7 @@ class NumericalSemigroup:
             return self
         m, old = self.multiplicity, self._apery
         n = next(x for x in count(m) if x not in removed and x >= old[x % m])
-        ap = list(self.apery_set(n).elements)
+        ap = list(self.apery_set(n))
         for x in removed:
             while ap[x % n] in removed:
                 ap[x % n] += n
@@ -318,7 +299,6 @@ class NumericalSemigroup:
 
 # -- module-level operation aliases ---------------------------------------
 
-from_generators = NumericalSemigroup.from_generators
 from_gaps = NumericalSemigroup.from_gaps
 
 
@@ -376,13 +356,11 @@ def _from_generators(generators) -> NumericalSemigroup:
     return _from_apery(n, _apery_mod(n, gens))
 
 
-def _from_apery(m, ap, _carried=None) -> NumericalSemigroup:
+def _from_apery(m, ap) -> NumericalSemigroup:
     """The semigroup with multiplicity m and Apéry set ``ap``, built as given.
 
     It only builds: the caller vouches that ``ap`` is Ap(S, m) of a
     semigroup S and that m passed _check_multiplicity.  Nothing is checked.
-    Pickles written when instances carried their generators pass them as
-    ``_carried``, which is ignored.
     """
     s = object.__new__(NumericalSemigroup)
     _set_frobenius(s, max(ap) - m)

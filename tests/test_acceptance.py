@@ -7,7 +7,7 @@ import time
 
 from numsgps.chains import ThetaMap, chain, complexity, mu, theta_apply
 from numsgps.extensions import ideal_extensions, is_pertinent
-from numsgps.genealogy import count, enumerate_semigroups, level, shift_embed
+from numsgps.genealogy import count, enumerate_semigroups, shift_embed
 from numsgps.oracle import (enumerate_by_genus, extensions_bruteforce,
                             min_ichain_bfs, pf_bruteforce)
 from numsgps.semigroup import NumericalSemigroup, from_gaps
@@ -23,7 +23,7 @@ def _report(num, claim, elapsed, budget):
 def test_criterion_01_apery_and_pf_of_worked_example():
     s = NumericalSemigroup(5, 6, 8, 9)
     t0 = time.perf_counter()
-    ap = frozenset(s.apery_set(5).elements)
+    ap = frozenset(s.apery_set(5))
     pf = set(s.pseudo_frobenius())
     elapsed = time.perf_counter() - t0
     assert ap == {0, 6, 8, 9, 12}
@@ -78,7 +78,7 @@ def test_criterion_04_pf_chain_overshoot_and_minimality():
 def test_criterion_05_small_tree_levels():
     t0 = time.perf_counter()
     for k in range(11):
-        members = level(2, k).members
+        members = enumerate_semigroups(2, k + 1)
         assert len(members) == 1
         assert members[0].min_generators == (2, 2 * k + 3)
     by_depth = {
@@ -87,7 +87,7 @@ def test_criterion_05_small_tree_levels():
         3: {(3, 8, 13), (3, 7), (3, 11, 13), (3, 10, 14), (3, 13, 14)},
     }
     for depth, expected in by_depth.items():
-        assert {s.min_generators for s in level(3, depth).members} == expected
+        assert {s.min_generators for s in enumerate_semigroups(3, depth + 1)} == expected
     assert {s.min_generators for s in enumerate_semigroups(3, 4)} == by_depth[3]
     elapsed = time.perf_counter() - t0
     _report(5, "levels of G(2) and G(3) and the five semigroups with m=3, c=4",

@@ -279,6 +279,21 @@ def test_library_has_no_assert_statement():
         assert not asserts, (path.name, asserts)
 
 
+def test_public_names_are_pinned():
+    # a name joins or leaves the public surface only by an edit here
+    assert numsgps.__all__ == [
+        "CHECKS", "ChainTooLong", "Classification", "FrobeniusTooLarge", "GcdNotOne",
+        "GenusCatalog", "GenusTooLarge", "IChain", "LevelTooLarge", "MultiplicityTooLarge",
+        "NotAMember", "NotASemigroup", "NumericalSemigroup", "PertinentSet", "SemigroupError",
+        "ThetaMap", "TypeTooLarge", "WHOLE", "WholeMonoid", "chain", "child_edges",
+        "classify", "complexity", "count", "enumerate_by_genus", "enumerate_semigroups",
+        "export_dot", "extensions_bruteforce", "from_gaps", "ideal_extensions",
+        "is_ideal_extension", "is_pertinent", "min_ichain_bfs", "mu", "pertinent_sets",
+        "pf_bruteforce", "pf_gap_search", "removal_candidates", "root", "shift_embed",
+        "theta_apply", "validate_chain",
+    ]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["info", "--gaps", "1,2,6"], "error: not closed under addition: 3 + 3 = 6 is missing"),
     (["info", "<5000,5001>"], "error: multiplicity 5000 exceeds 4096"),

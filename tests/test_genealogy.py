@@ -8,9 +8,8 @@ from brute import kunz_count
 from numsgps import genealogy, semigroup
 from numsgps.chains import complexity
 from numsgps.errors import LevelTooLarge, WholeMonoid
-from numsgps.genealogy import (TreeLevel, child_edges, count,
-                               enumerate_semigroups, export_dot, level,
-                               removal_candidates, root, shift_embed)
+from numsgps.genealogy import (child_edges, count, enumerate_semigroups,
+                               export_dot, removal_candidates, root, shift_embed)
 from numsgps.semigroup import WHOLE, NumericalSemigroup
 
 G2_DOT = """digraph "G(2)" {
@@ -90,35 +89,34 @@ def test_children_invariants(catalog8):
 
 
 def test_level_m3():
-    assert {s.min_generators for s in level(3, 1).members} == {
+    assert {s.min_generators for s in enumerate_semigroups(3, 2)} == {
         (3, 5, 7), (3, 4), (3, 7, 8)}
-    assert {s.min_generators for s in level(3, 2).members} == {
+    assert {s.min_generators for s in enumerate_semigroups(3, 3)} == {
         (3, 5), (3, 8, 10), (3, 7, 11), (3, 10, 11)}
-    assert {s.min_generators for s in level(3, 3).members} == {
+    assert {s.min_generators for s in enumerate_semigroups(3, 4)} == {
         (3, 8, 13), (3, 7), (3, 11, 13), (3, 10, 14), (3, 13, 14)}
 
 
 def test_level_m2_is_a_single_column():
     for k in range(11):
-        members = level(2, k).members
+        members = enumerate_semigroups(2, k + 1)
         assert len(members) == 1
         assert members[0].min_generators == (2, 2 * k + 3)
 
 
 def test_level_zero_and_errors():
-    lv = level(7, 0)
-    assert lv == TreeLevel(7, 0, (root(7),))
+    assert enumerate_semigroups(7, 1) == [root(7)]
     with pytest.raises(ValueError):
-        level(3, -1)
+        enumerate_semigroups(3, 0)
     with pytest.raises(LevelTooLarge):
-        level(5, 3, max_nodes=10)
+        enumerate_semigroups(5, 4, max_nodes=10)
 
 
 def test_level_cap_counts_the_whole_walk():
     # G(2) is one column, so depth 9 is one node but the walk builds ten
     with pytest.raises(LevelTooLarge):
-        level(2, 9, max_nodes=5)
-    assert level(2, 9, max_nodes=10).members == (NumericalSemigroup(2, 21),)
+        enumerate_semigroups(2, 10, max_nodes=5)
+    assert enumerate_semigroups(2, 10, max_nodes=10) == [NumericalSemigroup(2, 21)]
 
 
 def test_enumerate_semigroups():
@@ -165,8 +163,8 @@ def test_levels_match_a_walk_through_child_edges():
     for m in range(2, 7):
         frontier = [root(m)]
         for depth in range(4):
-            assert level(m, depth).members == tuple(
-                sorted(frontier, key=lambda s: s.min_generators))
+            assert enumerate_semigroups(m, depth + 1) == sorted(
+                frontier, key=lambda s: s.min_generators)
             frontier = [child for t in frontier for child, _ in child_edges(t)]
 
 
@@ -177,22 +175,23 @@ def test_count_honours_the_node_cap():
 
 
 def test_count_of_the_last_level_matches_building_it():
-    # count sums 2^k - 1 over the level above; level and the Kunz scan build or scan it
+    # count sums 2^k - 1 over the level above; enumerate_semigroups and the Kunz scan
+    # build or scan it
     for m in range(2, 8):
         for c in range(1, 6):
-            assert count(m, c) == len(level(m, c - 1).members) == kunz_count(m, c), (m, c)
+            assert count(m, c) == len(enumerate_semigroups(m, c)) == kunz_count(m, c), (m, c)
 
 
 def test_count_cap_covers_the_counted_level():
     # G(4) down to depth 2 has 1 + 7 + 15 nodes, the last 15 counted, not built
-    for walk in (count, lambda m, c, max_nodes: level(m, c - 1, max_nodes)):
+    for walk in (count, enumerate_semigroups):
         with pytest.raises(LevelTooLarge, match="tree below <4,5,6,7> exceeds the cap of 22 nodes"):
             walk(4, 3, max_nodes=22)
-    assert count(4, 3, max_nodes=23) == len(level(4, 2, max_nodes=23).members) == 15
+    assert count(4, 3, max_nodes=23) == len(enumerate_semigroups(4, 3, max_nodes=23)) == 15
 
 
 @pytest.mark.parametrize("walk, nodes", [
-    (lambda cap: level(3, 0, max_nodes=cap), 1),
+    (lambda cap: enumerate_semigroups(3, 1, max_nodes=cap), 1),
     (lambda cap: count(3, 1, max_nodes=cap), 1),
     (lambda cap: count(3, 2, max_nodes=cap), 4),  # <3,4,5> and its 3 counted children
     (lambda cap: export_dot(3, 0, max_nodes=cap), 1),
@@ -275,7 +274,7 @@ def test_levels_are_disjoint():
     for m in (3, 4):
         seen = set()
         for depth in range(5):
-            members = set(level(m, depth).members)
+            members = set(enumerate_semigroups(m, depth + 1))
             assert not (members & seen)
             seen |= members
 
@@ -353,7 +352,7 @@ def test_export_dot_matches_level_and_child_edges(m):
         assert len(depth) == len(names) == len(set(names))
         for k in range(max_depth + 1):
             assert sorted(x for x in names if depth[x] == k) == sorted(
-                str(s) for s in level(m, k).members), (m, max_depth, k)
+                str(s) for s in enumerate_semigroups(m, k + 1)), (m, max_depth, k)
 
 
 def test_child_edges_reads_the_parent_generators(monkeypatch):

@@ -109,7 +109,7 @@ def test_adjoin_matches_naive_closure(s, data):
     # class tops w - m keep every residue class an up-set, so only the
     # Kunz inequalities can fail; arbitrary gaps mostly break an up-set
     m = s.multiplicity
-    tops = [w - m for w in s.apery_set(m).elements if w > m]
+    tops = [w - m for w in s.apery_set(m) if w > m]
     pool = tops if tops and data.draw(st.booleans()) else s.gaps
     extra = data.draw(st.sets(st.sampled_from(pool), min_size=1))
     f = s.frobenius
@@ -131,7 +131,7 @@ def test_without_matches_naive_closure(s, data):
     m = s.multiplicity
     top = s.frobenius + 2 * m
     # removing class bottoms (Apéry elements) keeps every class an up-set
-    pool = ([w for w in s.apery_set(m).elements if w] if m > 1 and data.draw(st.booleans())
+    pool = ([w for w in s.apery_set(m) if w] if m > 1 and data.draw(st.booleans())
             else [x for x in range(1, top + 1) if x in s])
     removed = data.draw(st.sets(st.sampled_from(pool), min_size=1, max_size=4))
     members = {x for x in range(top + 1) if x in s} - removed
