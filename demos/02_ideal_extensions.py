@@ -16,7 +16,7 @@ print(f"S = {s} with PF = {list(s.pseudo_frobenius())}")
 print()
 print("subsets of PF whose union with S is again a semigroup:")
 for p in pertinent_sets(s):
-    print(f"  {set(p.members) if p.members else '{}'}  ->  {p.extension()}")
+    print(f"  {set(p) if p else '{}'}  ->  {s.adjoin(p)}")
 print()
 print("the missing subsets fail because a sum escapes: for example")
 print(f"  is_pertinent(S, {{3, 4}}) = {is_pertinent(s, {3, 4})}"

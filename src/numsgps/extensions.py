@@ -20,19 +20,14 @@ exceeds m, when the round robin modulo min A builds <{m} ∪ Ap(S, m) ∪ A>
 instead (the cost rule in _extend).  Nothing
 here reads or derives generators, nor does PF(S), which is read off
 Ap(S, m).  The pertinent sets come in the order of the extensions by
-genus and generators, so nothing is sorted afterwards.  A PertinentSet
-may be built by hand with any members, so its extension() keeps the
-checked adjoin.
+genus and generators, so nothing is sorted afterwards.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import TypeTooLarge, WholeMonoid
 from .semigroup import NumericalSemigroup, _from_apery, _from_generators
 
 __all__ = [
-    "PertinentSet",
     "ideal_extensions",
     "is_ideal_extension",
     "is_pertinent",
@@ -41,18 +36,6 @@ __all__ = [
 
 # pertinent_sets may return up to 2^t subsets of PF(S); refuse absurd types
 MAX_TYPE = 25
-
-
-@dataclass(frozen=True)
-class PertinentSet:
-    """A subset of PF(base) whose union with base is again a semigroup."""
-
-    base: NumericalSemigroup
-    members: tuple[int, ...]
-
-    def extension(self) -> NumericalSemigroup:
-        """The semigroup base ∪ members."""
-        return self.base.adjoin(self.members)
 
 
 def is_pertinent(s: NumericalSemigroup, a) -> bool:
@@ -68,19 +51,16 @@ def is_pertinent(s: NumericalSemigroup, a) -> bool:
     return a <= pf and all(x + y in a for x in a for y in a if x + y in pf)
 
 
-def pertinent_sets(s: NumericalSemigroup) -> list[PertinentSet]:
-    """All pertinent subsets of PF(s), sorted by size then lexicographically.
+def pertinent_sets(s: NumericalSemigroup) -> list[tuple[int, ...]]:
+    """All pertinent subsets of PF(s) as member tuples, by size then lexicographically.
 
-    Built by the ascending rule: take PF(s) in increasing order; a member
-    that is the sum of two chosen members (or twice one) is forced in, any
-    other may go either way.  Each choice only constrains larger members,
-    so every subset built is pertinent and none is built twice.
+    Each tuple is sorted, and () comes first.  Built by the ascending
+    rule: take PF(s) in increasing order; a member that is the sum of two
+    chosen members (or twice one) is forced in, any other may go either
+    way.  Each choice only constrains larger members, so every subset
+    built is pertinent and none is built twice.  The union s ∪ A for a
+    subset picked by hand is s.adjoin(A), which checks closure.
     """
-    return [PertinentSet(s, ms) for ms in _pertinent(s)]
-
-
-def _pertinent(s: NumericalSemigroup) -> list[tuple[int, ...]]:
-    """pertinent_sets as bare member tuples, () first, in the same order."""
     if s.is_whole:
         raise WholeMonoid("pertinence is undefined for the full monoid")
     pf = s.pseudo_frobenius()
@@ -101,14 +81,14 @@ def ideal_extensions(s: NumericalSemigroup, proper: bool = False) -> list[Numeri
     descending then msg lexicographic, so s comes first and the largest
     extension s ∪ PF(s) last.
 
-    That is the order of _pertinent, by size and then sorted members, so
+    That is the order of pertinent_sets, by size and then sorted members, so
     no sort runs.  The genus of s ∪ A is g(s) − |A|.  For |A| = |B|, the
     least integer where s ∪ A and s ∪ B differ is x = min(A △ B), and the
     proof in oracle.extensions_bruteforce puts s ∪ A first by generators
     iff x is in A.  A and B have the same members below x, so sorted A
     comes before sorted B exactly then too.
     """
-    found = _pertinent(s)
+    found = pertinent_sets(s)
     return [_extend(s, a) for a in (found[1:] if proper else found)]  # () is s itself
 
 

@@ -26,8 +26,11 @@ injectively into the next, which is why the levels never shrink.
 """
 from __future__ import annotations
 
+from math import inf
+
 from .errors import LevelTooLarge, WholeMonoid
-from .semigroup import NumericalSemigroup, _check_multiplicity, _from_apery, _generators_above
+from .semigroup import (NumericalSemigroup, _check_ints, _check_multiplicity, _from_apery,
+                        _generators_above)
 
 __all__ = [
     "child_edges",
@@ -44,6 +47,7 @@ DEFAULT_NODE_CAP = 10_000_000
 
 def root(m: int) -> NumericalSemigroup:
     """The ordinary semigroup {0, m, →}, root of the multiplicity-m tree."""
+    _check_ints((m,), -inf, "multiplicity must be an integer")
     if m < 2:
         raise ValueError("multiplicity must be at least 2")
     _check_multiplicity(m)
@@ -102,6 +106,7 @@ def _walk(m: int, depth: int, max_nodes: int):
     as shift_embed maps each level into the next, so depth ≥ max_nodes is
     refused before the root is expanded.
     """
+    _check_ints((max_nodes,), -inf, "node cap must be an integer")
     r = root(m)
     if depth >= max_nodes:
         raise _too_large(r, max_nodes)
@@ -131,6 +136,7 @@ def enumerate_semigroups(m: int, c: int,
     LevelTooLarge as soon as the tree down to that depth passes
     ``max_nodes`` nodes.
     """
+    _check_ints((c,), -inf, "complexity must be an integer")
     if c < 1:
         raise ValueError("complexity must be at least 1")
     for last in _walk(m, c - 1, max_nodes):
@@ -146,6 +152,7 @@ def count(m: int, c: int, max_nodes: int = DEFAULT_NODE_CAP) -> int:
     the walk stops one level short and sums those.  The node cap covers
     the counted level as if it were built.
     """
+    _check_ints((c,), -inf, "complexity must be an integer")
     if c < 2:
         return len(enumerate_semigroups(m, c, max_nodes))
     built = 0
@@ -176,6 +183,7 @@ def export_dot(m: int, max_depth: int, max_nodes: int = DEFAULT_NODE_CAP) -> str
     labeled with the removed generator set, e.g. {7,8}.  Raises
     LevelTooLarge as soon as the tree passes ``max_nodes`` nodes.
     """
+    _check_ints((max_depth,), -inf, "depth must be an integer")
     if max_depth < 0:
         raise ValueError("depth must be nonnegative")
     nodes, edges, names = [], [], {}

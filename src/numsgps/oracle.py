@@ -112,6 +112,8 @@ def _levels(max_genus: int) -> list[list[int]]:
     the one child 0b10, <2,3>.  Within one genus, the order of _bits is
     the order by minimal generators (see extensions_bruteforce).
     """
+    if not isinstance(max_genus, int) or isinstance(max_genus, bool):
+        raise ValueError(f"genus bound must be an integer, got {max_genus!r}")
     if max_genus < 0:
         raise ValueError("genus bound must be nonnegative")
     if max_genus > MAX_CATALOG_GENUS:

@@ -80,7 +80,7 @@ class NumericalSemigroup:
     __slots__ = ("frobenius", "genus", "multiplicity", "_apery")
 
     def __new__(cls, *generators):
-        if len(generators) == 1 and not isinstance(generators[0], int):
+        if len(generators) == 1 and hasattr(generators[0], "__iter__"):
             generators = tuple(generators[0])
         _check_ints(generators, 1, "generators must be positive integers")
         gens = sorted(set(generators))

@@ -284,7 +284,7 @@ def test_public_names_are_pinned():
     assert numsgps.__all__ == [
         "CHECKS", "ChainTooLong", "Classification", "FrobeniusTooLarge", "GcdNotOne",
         "GenusCatalog", "GenusTooLarge", "IChain", "LevelTooLarge", "MultiplicityTooLarge",
-        "NotAMember", "NotASemigroup", "NumericalSemigroup", "PertinentSet", "SemigroupError",
+        "NotAMember", "NotASemigroup", "NumericalSemigroup", "SemigroupError",
         "ThetaMap", "TypeTooLarge", "WHOLE", "WholeMonoid", "chain", "child_edges",
         "classify", "complexity", "count", "enumerate_by_genus", "enumerate_semigroups",
         "export_dot", "extensions_bruteforce", "from_gaps", "ideal_extensions",

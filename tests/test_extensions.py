@@ -1,12 +1,12 @@
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given
 
 from numsgps import semigroup
 from numsgps.errors import NotASemigroup, TypeTooLarge, WholeMonoid
-from numsgps.extensions import (PertinentSet, _extend, _pertinent,
-                                ideal_extensions, is_ideal_extension,
+from numsgps.extensions import (_extend, ideal_extensions, is_ideal_extension,
                                 is_pertinent, pertinent_sets)
 from numsgps.oracle import extensions_bruteforce
 from numsgps.semigroup import (WHOLE, NumericalSemigroup, _from_generators,
@@ -17,14 +17,13 @@ S5689 = NumericalSemigroup(5, 6, 8, 9)
 
 
 def test_pertinent_sets_order_and_members():
-    got = [p.members for p in pertinent_sets(S5689)]
+    got = pertinent_sets(S5689)
     assert got == [(), (3,), (4,), (7,), (3, 7), (4, 7), (3, 4, 7)]
-    assert all(p.base == S5689 for p in pertinent_sets(S5689))
 
 
 def test_pertinent_sets_single_pf():
-    assert [p.members for p in pertinent_sets(NumericalSemigroup(5, 7))] == [(), (23,)]
-    assert [p.members for p in pertinent_sets(from_gaps({1}))] == [(), (1,)]
+    assert pertinent_sets(NumericalSemigroup(5, 7)) == [(), (23,)]
+    assert pertinent_sets(from_gaps({1})) == [(), (1,)]
 
 
 def test_is_pertinent():
@@ -46,6 +45,17 @@ def test_is_pertinent_counts_self_sums():
     assert is_pertinent(t, {2, 5, 7})
 
 
+def test_is_pertinent_agrees_with_pertinent_sets(catalog10):
+    # the pairwise test and the ascending build name the same subsets of PF(S)
+    for s in catalog10.semigroups:
+        if s.is_whole:
+            continue
+        pf, found = s.pseudo_frobenius(), set(pertinent_sets(s))
+        for k in range(len(pf) + 1):
+            for a in combinations(pf, k):
+                assert is_pertinent(s, a) == (a in found), (s, a)
+
+
 def test_ideal_extensions_example():
     exts = ideal_extensions(S5689)
     assert len(exts) == 7
@@ -61,7 +71,7 @@ def test_ideal_extensions_example():
 @given(high_type_semigroups())
 @example(S5689)
 def test_ideal_extensions_order_is_genus_desc_then_msg(s):
-    # _pertinent's order, by size and then members, is this order, so
+    # pertinent_sets' order, by size and then members, is this order, so
     # nothing sorts it; the draws reach type 12, with PF below m
     exts = ideal_extensions(s)
     keys = [(-d.genus, d.min_generators) for d in exts]
@@ -118,7 +128,7 @@ def test_pertinent_extension_fills_one_gap_each(catalog8):
         if s.is_whole:
             continue
         for p in pertinent_sets(s):
-            assert p.extension().genus == s.genus - len(p.members)
+            assert s.adjoin(p).genus == s.genus - len(p)
 
 
 def test_extensions_match_bruteforce(catalog10):
@@ -160,10 +170,8 @@ def test_both_endpoints_always_present(catalog10):
 
 
 def test_pertinent_set_is_frozen():
-    p = pertinent_sets(S5689)[1]
-    assert p == PertinentSet(S5689, (3,))
-    with pytest.raises(AttributeError):
-        p.members = ()
+    # equal to a tuple, so a tuple and frozen: the list [3] is not equal to (3,)
+    assert pertinent_sets(S5689)[1] == (3,)
 
 
 def _count_round_robins(monkeypatch) -> list[int]:
@@ -178,7 +186,7 @@ def test_extensions_below_m_run_the_round_robin_iff_genus_exceeds_m(monkeypatch,
     # unless g(S) − |A| > m; on the genus-10 catalog 164 of those 2709 A
     # go to the round robin, modulo min A, in the order of the extensions
     bases = [s for s in catalog10.semigroups if not s.is_whole]
-    below = [(s, a) for s in bases for a in _pertinent(s) if a and min(a) < s.multiplicity]
+    below = [(s, a) for s in bases for a in pertinent_sets(s) if a and min(a) < s.multiplicity]
     slow = [min(a) for s, a in below if s.genus - len(a) > s.multiplicity]
     assert (len(below), len(slow)) == (2709, 164)
     moduli = _count_round_robins(monkeypatch)
@@ -211,7 +219,7 @@ def test_both_builds_below_m_agree_on_the_genus_12_catalog(catalog12):
     for s in catalog12.semigroups:
         if s.is_whole:
             continue
-        for a in _pertinent(s):
+        for a in pertinent_sets(s):
             if a and min(a) < s.multiplicity:
                 got = _extend(s, a)
                 want = _from_generators({s.multiplicity, *s._apery[1:], *a})
@@ -250,7 +258,7 @@ def test_ideal_extensions_run_no_kunz_pass(monkeypatch, gens):
 
 
 def test_hand_built_pertinent_set_is_checked():
-    # 3 + 4 = 7 is missing from <5,6,8,9> ∪ {3, 4}: extension() keeps the closure check
+    # 3 + 4 = 7 is missing from <5,6,8,9> ∪ {3, 4}: adjoin keeps the closure check
     with pytest.raises(NotASemigroup) as exc:
-        PertinentSet(S5689, (3, 4)).extension()
+        S5689.adjoin((3, 4))
     assert exc.value.witness == (3, 4)

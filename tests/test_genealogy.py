@@ -5,11 +5,12 @@ import time
 import pytest
 
 from brute import kunz_count
-from numsgps import genealogy, semigroup
+from numsgps import genealogy, oracle, semigroup
 from numsgps.chains import complexity
 from numsgps.errors import LevelTooLarge, WholeMonoid
 from numsgps.genealogy import (child_edges, count, enumerate_semigroups,
                                export_dot, removal_candidates, root, shift_embed)
+from numsgps.oracle import enumerate_by_genus, pf_gap_search
 from numsgps.semigroup import WHOLE, NumericalSemigroup
 
 G2_DOT = """digraph "G(2)" {
@@ -110,6 +111,33 @@ def test_level_zero_and_errors():
         enumerate_semigroups(3, 0)
     with pytest.raises(LevelTooLarge):
         enumerate_semigroups(5, 4, max_nodes=10)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: root(2.5), "multiplicity must be an integer, got 2.5"),
+    (lambda: count(4, 2.5), "complexity must be an integer, got 2.5"),
+    (lambda: enumerate_semigroups(4, 2.5), "complexity must be an integer, got 2.5"),
+    (lambda: enumerate_semigroups(3, True), "complexity must be an integer, got True"),
+    (lambda: export_dot(4, 1.5), "depth must be an integer, got 1.5"),
+    (lambda: export_dot(4, True), "depth must be an integer, got True"),
+    (lambda: count(4, 3, max_nodes=2.5), "node cap must be an integer, got 2.5"),
+    (lambda: enumerate_by_genus(2.5), "genus bound must be an integer, got 2.5"),
+    (lambda: pf_gap_search(3.5), "genus bound must be an integer, got 3.5"),
+    # an int out of range gets its range's message
+    (lambda: root(1), "multiplicity must be at least 2"),
+    (lambda: enumerate_semigroups(3, 0), "complexity must be at least 1"),
+    (lambda: export_dot(4, -1), "depth must be nonnegative"),
+    (lambda: enumerate_by_genus(-1), "genus bound must be nonnegative"),
+])
+def test_walk_and_catalog_arguments_are_checked_first(monkeypatch, call, message):
+    # each argument is refused before a tree node or catalog level is built
+    def refuse(*args):
+        raise AssertionError("work started")
+    monkeypatch.setattr(genealogy, "_from_apery", refuse)
+    monkeypatch.setattr(oracle, "_generators", refuse)
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_level_cap_counts_the_whole_walk():

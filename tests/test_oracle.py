@@ -184,7 +184,7 @@ def test_extension_routes_never_edit(catalog8, monkeypatch):
     monkeypatch.setattr(NumericalSemigroup, "_without", refuse)
     fast = {s: ideal_extensions(s) for s in catalog8.semigroups if not s.is_whole}
     # nor does the oracle share the fast route's pertinence or round robin
-    for name in ("pertinent_sets", "_pertinent", "is_pertinent", "_extend"):
+    for name in ("pertinent_sets", "is_pertinent", "_extend"):
         monkeypatch.setattr(extensions, name, refuse)
     monkeypatch.setattr(oracle, "ideal_extensions", refuse)
     monkeypatch.setattr(semigroup, "_from_generators", refuse)
@@ -233,8 +233,8 @@ def test_extension_gaps_are_the_gaps_less_a(catalog10):
         if s.is_whole:
             continue
         for p in extensions.pertinent_sets(s):
-            mask = sum(1 << x for x in p.members)
-            assert _gap_bits(extensions._extend(s, p.members)) == _gap_bits(s) & ~mask, (s, p)
+            mask = sum(1 << x for x in p)
+            assert _gap_bits(extensions._extend(s, p)) == _gap_bits(s) & ~mask, (s, p)
 
 
 def _refuse(*args):
@@ -303,7 +303,7 @@ def test_pf_gap_search(monkeypatch):
     # so no extension is built and no pertinent set is found
     expected = pf_gap_search(8)
     monkeypatch.setattr(extensions, "_extend", _refuse)
-    monkeypatch.setattr(extensions, "_pertinent", _refuse)
+    monkeypatch.setattr(extensions, "pertinent_sets", _refuse)
     assert pf_gap_search(8) == expected
 
 
@@ -499,7 +499,7 @@ def test_oracle_routes_share_nothing_with_the_fast_routes(catalog10, monkeypatch
     ext = [extensions_bruteforce(s) for s in nonwhole]
     gap = pf_gap_search(9)
     for module, name in ((semigroup, "_generators_above"), (semigroup, "_from_generators"),
-                         (extensions, "_pertinent"), (extensions, "_extend"), (oracle, "_walk")):
+                         (extensions, "pertinent_sets"), (extensions, "_extend"), (oracle, "_walk")):
         monkeypatch.setattr(module, name, _refuse)
     monkeypatch.setattr(oracle, "_steps", {0: 0})
     assert enumerate_by_genus(10) == catalog10

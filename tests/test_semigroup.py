@@ -9,7 +9,7 @@ from numsgps import semigroup
 from numsgps.chains import ThetaMap, _gamma_step, chain, complexity
 from numsgps.errors import (FrobeniusTooLarge, GcdNotOne, MultiplicityTooLarge,
                             NotAMember, NotASemigroup, WholeMonoid)
-from numsgps.extensions import _extend, _pertinent
+from numsgps.extensions import _extend, pertinent_sets
 from numsgps.oracle import pf_bruteforce
 from numsgps.semigroup import WHOLE, NumericalSemigroup, from_gaps
 
@@ -61,6 +61,11 @@ def test_constructor_rejects_bad_input():
         NumericalSemigroup(0, 3)
     with pytest.raises(ValueError):
         NumericalSemigroup(-2, 3)
+    # one argument that is not iterable is a generator, checked as one
+    for bad in (5.0, None):
+        with pytest.raises(ValueError) as exc:
+            NumericalSemigroup(bad)
+        assert str(exc.value) == f"generators must be positive integers, got {bad!r}"
 
 
 def test_membership():
@@ -491,7 +496,7 @@ def test_builds_read_no_generators(monkeypatch):
     # a gamma link is built from Ap(S, m) alone, and neither its edits nor
     # its pertinent sets, which reach below m = 5 and above it, read generators
     link = _gamma_step(NumericalSemigroup(5, 7, 8, 9))
-    found = _pertinent(link)
+    found = pertinent_sets(link)
     below, above = (4,), (6,)
     assert below in found and above in found
     expected = [link.without({5}), link.apery_set(7), link.adjoin({3, 6}),
@@ -502,7 +507,7 @@ def test_builds_read_no_generators(monkeypatch):
         raise AssertionError("generators derived")
     monkeypatch.setattr(semigroup, "_generators_above", refuse)
     link = _gamma_step(NumericalSemigroup(5, 7, 8, 9))
-    assert _pertinent(link) == found
+    assert pertinent_sets(link) == found
     assert [link.without({5}), link.apery_set(7), link.adjoin({3, 6}),
             _extend(link, below), _extend(link, above),
             chain(ThetaMap.FROBENIUS_ONLY, link).links] == expected
