@@ -12,15 +12,16 @@ various ways; the seventh, gamma, picks every gap in the top block
 [⌊F/m⌋·m, F] and is optimal: iterating it realizes a chain of length
 exactly C(S), dropping the complexity by one per step.
 
-Every selection is pertinent by proof, so no step checks closure.  A
-gamma step is the clamp k_i ← min(k_i, ⌊F/m⌋) of the Kunz coordinates
-k_i = (w_i − i)/m of Ap(S, m): clamping every coordinate to one bound keeps
-the Kunz inequalities, and the step costs O(m).  The other six pick
-members of PF(S) closed under sums that land in PF(S): ``pf``,
-``upperhalf``, ``above-f-m`` and ``above-f-g`` keep every member above a
-threshold, and a sum lies above both its parts; ``frob`` and ``min-half``
-pick one x with 2x > F, whose double is a member.  They step by
-extensions._extend, the builder of ideal_extensions.
+Every selection is pertinent by proof, so no step checks closure.  The
+gamma chain reads every link off Ap(S, m) of its first: with q = ⌊F/m⌋,
+link k clamps each Kunz coordinate k_i = (w_i − i)/m to q + 1 − k.
+Clamping every coordinate to one bound keeps the Kunz inequalities, so
+each link is a semigroup, one comprehension over Ap(S, m) apiece.  The
+other six pick members of PF(S) closed under sums that land in PF(S):
+``pf``, ``upperhalf``, ``above-f-m`` and ``above-f-g`` keep every member
+above a threshold, and a sum lies above both its parts; ``frob`` and
+``min-half`` pick one x with 2x > F, whose double is a member.  They step
+by extensions._extend, which also makes every ideal_extensions result.
 """
 from __future__ import annotations
 
@@ -117,36 +118,30 @@ def chain(theta: ThetaMap, s: NumericalSemigroup) -> IChain:
     """Iterate S ← S ∪ θ(S) until the full monoid; the run is an i-chain.
 
     θ(S) is pertinent, so each link is the ideal extension S ∪ θ(S), built
-    with no closure check: the gamma clamp, else _extend.  Raises
+    with no closure check.  Gamma links are read straight off Ap(S, m):
+    with q = ⌊F/m⌋, link k is w_i ← min(w_i, (q + 1 − k)·m + i) for
+    1 ≤ k ≤ q, as one clamp at qm leaves F in [(q − 1)m, qm), and ℕ ends
+    the chain.  The other selections step by _extend.  Raises
     ChainTooLong for a chain of more than MAX_CHAIN_LINKS links, and for
-    gamma, whose C(S) + 1 links are known, before the first step.
+    gamma, whose C(S) + 1 links are known, before the first link is built.
     """
-    step = _gamma_step if theta is ThetaMap.GAMMA else lambda t: _extend(t, theta_apply(theta, t))
-    # a gamma chain has C(S) + 1 links, so one past the cap stops at its first link
-    cap = 1 if theta is ThetaMap.GAMMA and complexity(s) >= MAX_CHAIN_LINKS else MAX_CHAIN_LINKS
+    if theta is ThetaMap.GAMMA and not s.is_whole:
+        if complexity(s) >= MAX_CHAIN_LINKS:
+            raise ChainTooLong(f"chain of {s} exceeds {MAX_CHAIN_LINKS} links")
+        m, ap = s.multiplicity, s._apery
+        links = [_from_apery(m, tuple([w if w < t else t for w, t in zip(ap, range(b, b + m))]))
+                 for b in range(s.frobenius // m * m, 0, -m)]
+        return IChain((s, *links, WHOLE))
     links, cur = [s], s
     while not cur.is_whole:
         if len(links) > s.genus + 1:
             # each step strictly shrinks the gap set, so this cannot happen
             raise RuntimeError(f"selection {theta} failed to terminate on {s}")
-        if len(links) == cap:
+        if len(links) == MAX_CHAIN_LINKS:
             raise ChainTooLong(f"chain of {s} exceeds {MAX_CHAIN_LINKS} links")
-        cur = step(cur)
+        cur = _extend(cur, theta_apply(theta, cur))
         links.append(cur)
     return IChain(tuple(links))
-
-
-def _gamma_step(s: NumericalSemigroup) -> NumericalSemigroup:
-    """S ∪ γ(S), with q = ⌊F/m⌋: w_i ← min(w_i, qm + i), and ℕ when q = 0.
-
-    γ(S) fills the gaps in [qm, F], so the least member of class i becomes
-    qm + i wherever that is lower; the multiplicity stays while q ≥ 1.
-    """
-    m = s.multiplicity
-    top = s.frobenius // m * m
-    if top == 0:
-        return WHOLE
-    return _from_apery(m, tuple(map(min, s._apery, range(top, top + m))))
 
 
 def mu(theta: ThetaMap, s: NumericalSemigroup) -> int:

@@ -25,7 +25,7 @@ genus and generators, so nothing is sorted afterwards.
 from __future__ import annotations
 
 from .errors import TypeTooLarge, WholeMonoid
-from .semigroup import NumericalSemigroup, _from_apery, _from_generators
+from .semigroup import NumericalSemigroup, _check_ints, _from_apery, _from_generators
 
 __all__ = [
     "ideal_extensions",
@@ -42,11 +42,13 @@ def is_pertinent(s: NumericalSemigroup, a) -> bool:
     """True iff A ⊆ PF(s) and A is closed under sums that land in PF(s).
 
     Equivalently, true iff s ∪ A is a numerical semigroup.  Sums with
-    a = b count: if 2a misses s it must be back in A as well.
+    a = b count: if 2a misses s it must be back in A as well.  The members
+    of A are checked as s.adjoin checks them, before any work.
     """
     if s.is_whole:
         raise WholeMonoid("pertinence is undefined for the full monoid")
     a = set(a)
+    _check_ints(a, 0, "adjoined elements must be nonnegative integers")
     pf = set(s.pseudo_frobenius())
     return a <= pf and all(x + y in a for x in a for y in a if x + y in pf)
 

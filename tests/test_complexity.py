@@ -135,16 +135,18 @@ def test_every_theta_is_nonempty_and_pertinent(catalog12):
 
 
 def test_pf_selection_chains_match_the_checked_adjoin(catalog12, monkeypatch):
-    # the six PF selections step by the unchecked _extend; a second route
-    # steps each chain with the closure-checked adjoin, link by link
+    # the six PF selections step by the unchecked _extend and gamma reads its
+    # links off Ap(S, m); a second route steps each chain with the
+    # closure-checked adjoin, link by link
     def checked(theta, s):
         links = [s]
         while not links[-1].is_whole:
             links.append(links[-1].adjoin(theta_apply(theta, links[-1])))
         return [(t, t.min_generators) for t in links]
-    cases = [(theta, s) for s in catalog12.semigroups if not s.is_whole
-             for theta in ThetaMap if theta is not ThetaMap.GAMMA]
-    assert len(cases) == 6 * 1412
+    cases = [(theta, s) for s in catalog12.semigroups if not s.is_whole for theta in ThetaMap]
+    assert len(cases) == 7 * 1412
+    # and one gamma chain of large F: 121 steps, F = 14639
+    cases.append((ThetaMap.GAMMA, NumericalSemigroup(121, 123)))
     expected = [checked(theta, s) for theta, s in cases]
     for name in ("adjoin", "_without"):
         monkeypatch.setattr(NumericalSemigroup, name, lambda *a: pytest.fail("checked edit"))
@@ -208,10 +210,13 @@ def test_ichain_is_a_value_type():
 
 
 def test_gamma_chain_runs_no_kunz_pass(monkeypatch):
-    # each link is a clamp of the Kunz coordinates, closed by proof
+    # each link is a clamp of the Kunz coordinates, closed by proof: no link
+    # derives generators, runs the round robin or steps by _extend
     s = NumericalSemigroup(1001, 1003)
     calls = []
     monkeypatch.setattr(semigroup, "_generators_above", lambda *a: calls.append(a))
+    monkeypatch.setattr(semigroup, "_apery_mod", lambda *a: calls.append(a))
+    monkeypatch.setattr(chains, "_extend", lambda *a: calls.append(a))
     links = chain(ThetaMap.GAMMA, s).links
     assert len(links) - 1 == complexity(s) == 1001
     assert calls == []
@@ -222,7 +227,7 @@ def test_gamma_chain_guard_fires_before_the_first_step(monkeypatch):
     # F = 2^40 - 1 passes the Frobenius guard, but its gamma chain would
     # have 2^39 + 1 links
     s = NumericalSemigroup(2, 2**40 + 1)
-    monkeypatch.setattr(chains, "_gamma_step", lambda t: pytest.fail("stepped"))
+    monkeypatch.setattr(chains, "_from_apery", lambda *a: pytest.fail("built a link"))
     start = time.process_time()
     with pytest.raises(ChainTooLong) as exc:
         chain(ThetaMap.GAMMA, s)

@@ -35,6 +35,13 @@ def test_is_pertinent():
     assert not is_pertinent(S5689, {3, 5})
     with pytest.raises(WholeMonoid):
         is_pertinent(WHOLE, set())
+    # members are checked as adjoin checks them
+    for a, bad in (({3.0, 7}, "3.0"), ({True}, "True"), ({-1}, "-1")):
+        message = f"adjoined elements must be nonnegative integers, got {bad}"
+        for route in (is_pertinent, NumericalSemigroup.adjoin):
+            with pytest.raises(ValueError) as exc:
+                route(S5689, a)
+            assert str(exc.value) == message
 
 
 def test_is_pertinent_counts_self_sums():

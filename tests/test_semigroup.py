@@ -6,7 +6,7 @@ import pytest
 
 from brute import closure_witness, naive_members
 from numsgps import semigroup
-from numsgps.chains import ThetaMap, _gamma_step, chain, complexity
+from numsgps.chains import ThetaMap, chain, complexity
 from numsgps.errors import (FrobeniusTooLarge, GcdNotOne, MultiplicityTooLarge,
                             NotAMember, NotASemigroup, WholeMonoid)
 from numsgps.extensions import _extend, pertinent_sets
@@ -483,7 +483,7 @@ def test_round_robin_builds_keep_their_generators(monkeypatch):
     t = NumericalSemigroup(4000, 4001).without({4000})
     assert t == NumericalSemigroup(4001, 8000, 8001, 12000)
     pickle.dumps(NumericalSemigroup(1001, 1003))
-    link = _gamma_step(NumericalSemigroup(1001, 1003))
+    link = chain(ThetaMap.GAMMA, NumericalSemigroup(1001, 1003)).links[1]
     assert pickle.loads(pickle.dumps(link)) == link
     assert calls == []
     assert t.min_generators == (4001, 8000, 8001, 12000)
@@ -495,7 +495,7 @@ def test_round_robin_builds_keep_their_generators(monkeypatch):
 def test_builds_read_no_generators(monkeypatch):
     # a gamma link is built from Ap(S, m) alone, and neither its edits nor
     # its pertinent sets, which reach below m = 5 and above it, read generators
-    link = _gamma_step(NumericalSemigroup(5, 7, 8, 9))
+    link = chain(ThetaMap.GAMMA, NumericalSemigroup(5, 7, 8, 9)).links[1]
     found = pertinent_sets(link)
     below, above = (4,), (6,)
     assert below in found and above in found
@@ -506,7 +506,7 @@ def test_builds_read_no_generators(monkeypatch):
     def refuse(*args):
         raise AssertionError("generators derived")
     monkeypatch.setattr(semigroup, "_generators_above", refuse)
-    link = _gamma_step(NumericalSemigroup(5, 7, 8, 9))
+    link = chain(ThetaMap.GAMMA, NumericalSemigroup(5, 7, 8, 9)).links[1]
     assert pertinent_sets(link) == found
     assert [link.without({5}), link.apery_set(7), link.adjoin({3, 6}),
             _extend(link, below), _extend(link, above),
