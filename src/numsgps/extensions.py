@@ -132,11 +132,11 @@ def _extend(s: NumericalSemigroup, a) -> NumericalSemigroup:
 def is_ideal_extension(s: NumericalSemigroup, delta: NumericalSemigroup) -> bool:
     """True iff s ⊆ delta ⊆ s ∪ PF(s).
 
-    For the full monoid the only extension is the monoid itself.
+    PF(s) is pertinent, so s ∪ PF(s) is the largest extension, built by
+    _extend from Ap(s, m); both tests read Apéry sets alone, in O(m²)
+    whatever F is.  For the full monoid the only extension is the monoid
+    itself.
     """
     if s.is_whole:
         return delta.is_whole
-    if not s.issubset(delta):
-        return False
-    pf = set(s.pseudo_frobenius())
-    return all(g in pf for g in s.gaps if g in delta)
+    return s.issubset(delta) and delta.issubset(_extend(s, s.pseudo_frobenius()))

@@ -9,17 +9,20 @@ per edge, so the depth-n level is precisely the set of semigroups with
 multiplicity m and complexity n+1, and walking the tree level by level
 enumerates them all.
 
-The walk runs on Apéry tuples Ap(T, m): removing the generator w_i raises
-w_i by m, so count and export_dot build no semigroup object past the root,
-and enumerate_semigroups builds only the last level.  count does not build
-its last level at all: it stops one level short and counts 2^k − 1
-children for each node with k removable generators.  A node's removable
-generators are the w_i above ⌊max w/m⌋·m that are no sum of two nonzero
-members, found by semigroup._generators_above, the rule that derives every
-instance's minimal generators; export_dot names each node by the same rule
-with no bound.  oracle.check_tree walks the same tuples by _walk and
-certifies every edge: the child read off its tuple must equal the
-parent's closure-checked ``without`` of the removed generators.
+The tree has one edge route, _apery_edges, on Apéry tuples Ap(T, m):
+removing the generator w_i raises w_i by m, so count and export_dot
+build no semigroup object past the root, and enumerate_semigroups builds
+only the last level.  No public call lists a node's children; a level
+comes from enumerate_semigroups, and the edges with their labels from
+export_dot.  count does not build its last level at all: it stops one
+level short and counts 2^k − 1 children for each node with k removable
+generators.  A node's removable generators (_candidates) are the w_i
+above ⌊max w/m⌋·m that are no sum of two nonzero members, found by
+semigroup._generators_above, the rule that derives every instance's
+minimal generators; export_dot names each node by the same rule with no
+bound.  oracle.check_tree walks the same tuples by _walk and certifies
+every edge: the child read off its tuple must equal the parent's
+closure-checked ``without`` of the removed generators.
 
 Prepending a copy of m to a semigroup (shift_embed) maps each level
 injectively into the next, which is why the levels never shrink.
@@ -33,11 +36,9 @@ from .semigroup import (NumericalSemigroup, _check_ints, _check_multiplicity, _f
                         _generators_above)
 
 __all__ = [
-    "child_edges",
     "count",
     "enumerate_semigroups",
     "export_dot",
-    "removal_candidates",
     "root",
     "shift_embed",
 ]
@@ -54,46 +55,28 @@ def root(m: int) -> NumericalSemigroup:
     return _from_apery(m, (0, *range(m + 1, 2 * m)))
 
 
-def removal_candidates(t: NumericalSemigroup) -> tuple[int, ...]:
-    """Minimal generators of t above (⌊F/m⌋+1)·m, the removable ones.
+def _candidates(ap):
+    """The removable generators of Ap(T, m): the minimal generators above (⌊F/m⌋+1)·m.
 
     They all lie strictly between (q+1)m and (q+2)m with q = ⌊F/m⌋,
     so there are at most m−1 of them; ``oracle.check_tree`` certifies this
     on every edge it walks.
     """
-    return _candidates(t._apery)
-
-
-def _candidates(ap):
-    """removal_candidates on Ap(T, m): the minimal generators above (⌊F/m⌋+1)·m."""
-    m = len(ap)
-    if m == 1:
-        raise WholeMonoid("the full monoid has no children")
-    return _generators_above(ap, max(ap) // m * m)  # (⌊F/m⌋+1)·m, as F = max w − m
+    return _generators_above(ap, max(ap) // len(ap) * len(ap))  # (⌊F/m⌋+1)·m, as F = max w − m
 
 
 def _apery_edges(ap):
-    """child_edges on Ap(T, m), one child at a time: removing w_i raises it by m.
+    """(child, removed) for each nonempty set of removable generators of Ap(T, m).
 
-    The removable generators come from ``_candidates(ap)``, on the call,
-    before any child exists.  Candidate j adds a stage that extends every
-    earlier subset by it, which keeps the subsets in bit-mask order.
+    Removing w_i raises it by m.  Candidate j adds a stage that extends
+    every earlier subset by it, which keeps the subsets in bit-mask order.
     """
-    m, cands = len(ap), _candidates(ap)
-
-    def stages():
-        edges = [(ap, ())]
-        for x in cands:
-            i = x % m
-            for c, r in edges[:]:
-                edges.append((c[:i] + (x + m,) + c[i + 1:], r + (x,)))
-                yield edges[-1]
-    return stages()
-
-
-def child_edges(t: NumericalSemigroup) -> list[tuple[NumericalSemigroup, tuple[int, ...]]]:
-    """(child, removed generators) pairs for every nonempty removable subset."""
-    return [(t.without(r), r) for _, r in _apery_edges(t._apery)]
+    m, edges = len(ap), [(ap, ())]
+    for x in _candidates(ap):
+        i = x % m
+        for c, r in edges[:]:
+            edges.append((c[:i] + (x + m,) + c[i + 1:], r + (x,)))
+            yield edges[-1]
 
 
 def _walk(m: int, depth: int, max_nodes: int):

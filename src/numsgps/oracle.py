@@ -23,14 +23,16 @@ and _int_name names a set that fails it by its gaps.  PF(S) is the gaps
 x with (nonzero members << x) & g == 0.  The oracle reads an int back
 into Ap(S, m), class by class off its bits (_apery), only at its edge:
 check_extensions compares those tuples with the fast route's, which is
-what equality of objects compares, and an object is built only where
-one is returned (_semigroup).  A fast route's object becomes an int, by
-its gaps (_gap_int), only to seed a scan or to be named.  Every genus
-guard fires before a gap int is made.  So the oracle shares no
-generators, no pertinence and no round robin with the fast routes it
+what equality of objects compares, check_complexity compares each gamma
+link with the tuple read off the gap int of S with its top bits
+cleared, and an object is built only where one is returned
+(_semigroup).  A fast route's object becomes an int, by its gaps
+(_gap_int, _gaps_below), only to seed a scan or a read, or to be named.
+Every genus guard fires before a gap int is made.  So the oracle shares
+no generators, no pertinence and no round robin with the fast routes it
 checks.  It imports, by module:
 
-    chains: ThetaMap, complexity, mu, theta_apply
+    chains: ThetaMap, chain, complexity, theta_apply
     extensions: ideal_extensions
     genealogy: DEFAULT_NODE_CAP, _walk
     semigroup: NumericalSemigroup, _from_apery
@@ -49,7 +51,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .chains import ThetaMap, complexity, mu, theta_apply
+from .chains import ThetaMap, chain, complexity, theta_apply
 from .errors import GenusTooLarge, SemigroupError, TypeTooLarge, WholeMonoid
 from .extensions import ideal_extensions
 from .genealogy import DEFAULT_NODE_CAP, _walk
@@ -135,7 +137,13 @@ def _gap_int(s: NumericalSemigroup, bound: int = MAX_ORACLE_GENUS, name: str = "
     """
     if s.genus > bound:
         raise GenusTooLarge(f"genus {s.genus} exceeds the {name} guard {bound}")
-    return sum(1 << x for x in s.gaps)
+    return _gaps_below(s, s.frobenius + 1)
+
+
+def _gaps_below(s: NumericalSemigroup, n: int) -> int:
+    """The gap int of s with every bit at or above n cleared, by the rule of s.gaps."""
+    m, ap = s.multiplicity, s._apery
+    return sum(1 << x for x in range(1, n) if x < ap[x % m])
 
 
 def _closed(g: int) -> bool:
@@ -353,14 +361,44 @@ def check_extensions(catalog: GenusCatalog) -> str | None:
 
 
 def check_complexity(catalog: GenusCatalog) -> str | None:
-    """⌊F/m⌋+1 against the gamma chain and against the shortest i-chain."""
+    """⌊F/m⌋+1 against the gamma chain, link by link, and against the shortest i-chain.
+
+    Link k ≥ 1 of the gamma chain of S, j = C(S) − k steps above ℕ, is S
+    with every integer at or above j·m filled in, so its Apéry tuple must
+    be the one _apery reads off the gap int of S with those bits cleared
+    (_gamma_reads); j = 0 gives ℕ.  Link 0 is S itself.  The shortest
+    chain runs first, so its genus guard fires before a gap int is made.
+    """
     for s in catalog.semigroups:
-        c = complexity(s)
-        if c != (steps := mu(ThetaMap.GAMMA, s)):
+        c, links = complexity(s), chain(ThetaMap.GAMMA, s).links
+        if c != (steps := len(links) - 1):
             return f"complexity mismatch at {_name(s)}: closed-form={c} gamma-chain={steps}"
         if c != (shortest := min_ichain_bfs(s)):
             return f"complexity mismatch at {_name(s)}: closed-form={c} bfs={shortest}"
+        m = s.multiplicity
+        reads = _gamma_reads(_gaps_below(s, (c - 1) * m))  # ℕ's chain has no link past itself
+        for k, (t, read) in enumerate(zip(links[1:], reads), 1):
+            if t._apery != read:
+                return (f"complexity mismatch at {_name(s)}: gamma link {k}={_name(t)} "
+                        f"brute={_int_name(_gaps_below(s, (c - k) * m))}")
     return None
+
+
+# The Apéry tuples that _apery reads off gap int h and off each link of its
+# gamma chain: h with every bit at or above ⌊F/m⌋·m cleared, and so on
+# down to ℕ, whose gap int is 0.  The links of one semigroup are those of
+# its first link, so each int is read once.  check_complexity reads only
+# links of semigroups that min_ichain_bfs has admitted, and a link has no
+# more gaps, so the memo holds at most the 1413 semigroups of the genus-12
+# catalog.
+_reads = {0: ((0,),)}
+
+
+def _gamma_reads(h: int) -> tuple[tuple[int, ...], ...]:
+    if h not in _reads:
+        m = _multiplicity(h)
+        _reads[h] = (_apery(h), *_gamma_reads(h & (1 << (h.bit_length() - 1) // m * m) - 1))
+    return _reads[h]
 
 
 def check_tree(catalog: GenusCatalog) -> str | None:

@@ -130,6 +130,29 @@ def test_is_ideal_extension():
     assert not is_ideal_extension(WHOLE, NumericalSemigroup(2, 3))
 
 
+def test_is_ideal_extension_does_not_scan_the_gaps():
+    # <2, 2^40 + 1> has 2^40 gaps below F; the test reads Apéry sets alone
+    s = NumericalSemigroup(2, 2**40 + 1)
+    start = time.process_time()
+    assert not is_ideal_extension(s, WHOLE)
+    assert time.process_time() - start < 0.1
+
+
+def _extension_by_gap_scan(s, delta):
+    """s ⊆ delta ⊆ s ∪ PF(s), by testing every gap of s."""
+    if s.is_whole:
+        return delta.is_whole
+    pf = set(s.pseudo_frobenius())
+    return s.issubset(delta) and all(g in pf for g in s.gaps if g in delta)
+
+
+def test_is_ideal_extension_matches_the_gap_scan(catalog8):
+    pairs = [(s, d) for s in catalog8.semigroups for d in catalog8.semigroups]
+    assert len(pairs) == 24336
+    assert [is_ideal_extension(s, d) for s, d in pairs] == [
+        _extension_by_gap_scan(s, d) for s, d in pairs]
+
+
 def test_pertinent_extension_fills_one_gap_each(catalog8):
     for s in catalog8.semigroups:
         if s.is_whole:

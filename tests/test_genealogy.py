@@ -1,6 +1,7 @@
 import hashlib
 import re
 import time
+from itertools import combinations
 
 import pytest
 
@@ -8,8 +9,7 @@ from brute import kunz_count
 from numsgps import genealogy, oracle, semigroup
 from numsgps.chains import complexity
 from numsgps.errors import LevelTooLarge, WholeMonoid
-from numsgps.genealogy import (child_edges, count, enumerate_semigroups,
-                               export_dot, removal_candidates, root, shift_embed)
+from numsgps.genealogy import count, enumerate_semigroups, export_dot, root, shift_embed
 from numsgps.oracle import enumerate_by_genus, pf_gap_search
 from numsgps.semigroup import WHOLE, NumericalSemigroup
 
@@ -32,23 +32,38 @@ def test_root():
         root(1)
 
 
-def test_removal_candidates():
-    assert removal_candidates(root(3)) == (4, 5)
-    assert removal_candidates(NumericalSemigroup(3, 7, 8)) == (7, 8)
-    assert removal_candidates(NumericalSemigroup(2, 3)) == (3,)
-    assert removal_candidates(NumericalSemigroup(3, 7)) == ()  # leaf
-    with pytest.raises(WholeMonoid):
-        removal_candidates(WHOLE)
+def _edges(t):
+    """(child, removed) for each edge below t, read off the walk's own route."""
+    m = t.multiplicity
+    return [(semigroup._from_apery(m, c), r) for c, r in genealogy._apery_edges(t._apery)]
 
 
-def test_removal_candidates_keep_the_generator_rule(catalog10):
+def _checked_children(t):
+    """(t ∖ A, A) for each nonempty set A of t's minimal generators above (⌊F/m⌋+1)·m.
+
+    Read off min_generators and built by the closure-checked without, so it
+    shares nothing with genealogy._candidates or _apery_edges.
+    """
+    m = t.multiplicity
+    top = [x for x in t.min_generators if x > (t.frobenius // m + 1) * m]
+    return [(t.without(set(r)), r) for k in range(1, len(top) + 1) for r in combinations(top, k)]
+
+
+def test_candidates():
+    assert genealogy._candidates(root(3)._apery) == (4, 5)
+    assert genealogy._candidates(NumericalSemigroup(3, 7, 8)._apery) == (7, 8)
+    assert genealogy._candidates(NumericalSemigroup(2, 3)._apery) == (3,)
+    assert genealogy._candidates(NumericalSemigroup(3, 7)._apery) == ()  # leaf
+
+
+def test_candidates_keep_the_generator_rule(catalog10):
     # the Apéry-tuple rule against the definition on minimal generators
     for t in catalog10.semigroups:
         if t.is_whole:
             continue
         m = t.multiplicity
         threshold = (t.frobenius // m + 1) * m
-        assert removal_candidates(t) == tuple(
+        assert genealogy._candidates(t._apery) == tuple(
             x for x in t.min_generators if x > threshold)
 
 
@@ -58,25 +73,25 @@ def test_candidates_sit_in_one_block(catalog10):
             continue
         m = t.multiplicity
         lo = (t.frobenius // m + 1) * m
-        cand = removal_candidates(t)
+        cand = genealogy._candidates(t._apery)
         assert len(cand) <= m - 1
         assert all(lo < x < lo + m for x in cand)
 
 
 def test_children_of_the_ordinary_root():
-    kids = [c for c, _ in child_edges(root(3))]
+    kids = [c for c, _ in _edges(root(3))]
     assert [k.min_generators for k in kids] == [(3, 5, 7), (3, 4), (3, 7, 8)]
 
 
 def test_children_deeper():
-    kids = [c for c, _ in child_edges(NumericalSemigroup(3, 7, 8))]
+    kids = [c for c, _ in _edges(NumericalSemigroup(3, 7, 8))]
     assert [k.min_generators for k in kids] == [(3, 8, 10), (3, 7, 11), (3, 10, 11)]
-    assert [c.min_generators for c, _ in child_edges(NumericalSemigroup(2, 3))] == [(2, 5)]
-    assert child_edges(NumericalSemigroup(3, 7)) == []
+    assert [c.min_generators for c, _ in _edges(NumericalSemigroup(2, 3))] == [(2, 5)]
+    assert _edges(NumericalSemigroup(3, 7)) == []
 
 
-def test_child_edges_labels():
-    edges = child_edges(root(3))
+def test_edge_labels():
+    edges = _edges(root(3))
     assert [removed for _, removed in edges] == [(4,), (5,), (4, 5)]
 
 
@@ -84,7 +99,7 @@ def test_children_invariants(catalog8):
     for t in catalog8.semigroups:
         if t.is_whole:
             continue
-        for child, _ in child_edges(t):
+        for child, _ in _edges(t):
             assert child.multiplicity == t.multiplicity
             assert complexity(child) == complexity(t) + 1
 
@@ -187,13 +202,13 @@ def test_count_matches_the_kunz_scan_on_small_classes():
             assert count(m, c) == kunz_count(m, c), (m, c)
 
 
-def test_levels_match_a_walk_through_child_edges():
+def test_levels_match_a_walk_through_checked_removals():
     for m in range(2, 7):
         frontier = [root(m)]
         for depth in range(4):
             assert enumerate_semigroups(m, depth + 1) == sorted(
                 frontier, key=lambda s: s.min_generators)
-            frontier = [child for t in frontier for child, _ in child_edges(t)]
+            frontier = [child for t in frontier for child, _ in _checked_children(t)]
 
 
 def test_count_honours_the_node_cap():
@@ -362,7 +377,7 @@ def test_export_dot_builds_only_the_root(monkeypatch):
 
 
 @pytest.mark.parametrize("m", range(2, 7))
-def test_export_dot_matches_level_and_child_edges(m):
+def test_export_dot_matches_level_and_checked_removals(m):
     node = re.compile(r'  "(<[\d,]+>)";')
     edge = re.compile(r'  "(<[\d,]+>)" -> "(<[\d,]+>)" \[label="\{([\d,]+)\}"\];')
     for max_depth in range(4):
@@ -374,7 +389,7 @@ def test_export_dot_matches_level_and_child_edges(m):
                 parent, child, label = found.groups()
                 if parent not in kids:
                     t = NumericalSemigroup.parse(parent)
-                    kids[parent] = {str(c): r for c, r in child_edges(t)}
+                    kids[parent] = {str(c): r for c, r in _checked_children(t)}
                 assert kids[parent][child] == tuple(map(int, label.split(",")))
                 depth[child] = depth[parent] + 1
         assert len(depth) == len(names) == len(set(names))
@@ -383,7 +398,7 @@ def test_export_dot_matches_level_and_child_edges(m):
                 str(s) for s in enumerate_semigroups(m, k + 1)), (m, max_depth, k)
 
 
-def test_child_edges_reads_the_parent_generators(monkeypatch):
+def test_edges_read_the_parent_generators(monkeypatch):
     # t's candidates are derived once, and no checked child derives
     # generators: without builds each from Apéry sets alone
     t = root(4).without({5, 6, 7})
@@ -395,7 +410,8 @@ def test_child_edges_reads_the_parent_generators(monkeypatch):
     derive = semigroup._generators_above
     monkeypatch.setattr(semigroup, "_generators_above", counted)
     monkeypatch.setattr(genealogy, "_generators_above", counted)
-    edges = child_edges(t)
+    edges = list(genealogy._apery_edges(t._apery))
+    assert [t.without(r)._apery for _, r in edges] == [c for c, _ in edges]
     assert len(edges) == 7 and calls == [t._apery]
 
 

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute import closure_witness, naive_members
-from numsgps import cli, extensions, genealogy, oracle, semigroup
-from numsgps.chains import complexity
+from numsgps import chains, cli, extensions, genealogy, oracle, semigroup
+from numsgps.chains import IChain, ThetaMap, complexity
 from numsgps.errors import GenusTooLarge, TypeTooLarge, WholeMonoid
 from numsgps.extensions import ideal_extensions
 from numsgps.oracle import (CHECKS, GenusCatalog, check_complexity,
@@ -336,6 +336,32 @@ def test_check_reports_name_the_first_counterexample(catalog8, monkeypatch):
         "extensions mismatch at <2,3>: fast=['<2,3>', '<1>'] brute=[]")
     monkeypatch.setattr(oracle, "min_ichain_bfs", lambda s: 99)
     assert check_complexity(catalog8) == "complexity mismatch at <1>: closed-form=0 bfs=99"
+
+
+def _first_clamp_chain(theta, s):
+    # every gamma link built as the first clamp, at q·m: the chain keeps its
+    # length, so only a link-by-link comparison sees the fault
+    links = chains.chain(theta, s).links
+    if s.is_whole or theta is not ThetaMap.GAMMA:
+        return IChain(links)
+    return IChain((s, *[links[1]] * (len(links) - 2), WHOLE))
+
+
+def test_gamma_reads_clear_one_block_per_link(catalog12):
+    # the memo's recursion against the read of each link on its own: link
+    # j steps above ℕ is the gap int with every bit at or above j·m cleared
+    for s in catalog12.semigroups:
+        g, m, c = _gap_bits(s), s.multiplicity, complexity(s)
+        assert oracle._gamma_reads(g) == tuple(
+            oracle._apery(g & (1 << j * m) - 1) for j in range(c, -1, -1)), s
+
+
+def test_check_complexity_reports_a_wrong_gamma_link(catalog12, monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "chain", _first_clamp_chain)
+    report = "complexity mismatch at <2,7>: gamma link 2=<2,5> brute=<2,3>"
+    assert check_complexity(catalog12) == report
+    assert cli.main(["verify", "--max-genus", "12"]) == 1
+    assert f"check complexity: FAIL {report}" in capsys.readouterr().out
 
 
 def _lower_under_m(s, a):

@@ -1,8 +1,12 @@
-"""Count the code lines of each module in src/numsgps/ and their total.
+"""Count the code lines and public names of each module in src/numsgps/.
 
 A code line holds at least one token that is not a comment; blank lines,
 comment-only lines and docstrings (module, class and function) are left
-out.  Standard library only.  Run from anywhere:
+out.  A module's public names are the strings of its literal ``__all__``,
+read with ast, so nothing is imported; a module with none prints "-".
+The package re-exports every module's names, so the names column totals
+to the length of ``numsgps.__all__``.  Standard library only.  Run from
+anywhere:
 
     python3 tools/sloc.py
 """
@@ -40,13 +44,25 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
+def public_names(tree: ast.Module) -> int | None:
+    """Length of the module's ``__all__`` if it is a literal list, else None."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return len(node.value.elts) if isinstance(node.value, ast.List) else None
+    return None
+
+
 def main() -> int:
-    total = 0
+    total = names_total = 0
+    print(f"{'code':>6}  {'names':>5}  module")
     for path in sorted(PACKAGE.glob("*.py")):
-        n = code_lines(path.read_text(encoding="utf-8"))
+        source = path.read_text(encoding="utf-8")
+        n, names = code_lines(source), public_names(ast.parse(source))
         total += n
-        print(f"{n:6d}  {path.name}")
-    print(f"{total:6d}  total")
+        names_total += names or 0
+        print(f"{n:6d}  {'-' if names is None else names:>5}  {path.name}")
+    print(f"{total:6d}  {names_total:5d}  total")
     return 0
 
 
