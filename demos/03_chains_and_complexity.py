@@ -7,7 +7,7 @@ closed form: floor(F/m) + 1.  The gamma picker (fill the whole top
 block of gaps) always achieves it; the full-PF picker can overshoot.
 """
 from numsgps import (NumericalSemigroup, ThetaMap, chain, classify,
-                     complexity, mu, pf_gap_search)
+                     complexity, pf_gap_search)
 
 s = NumericalSemigroup(5, 7)
 print(f"S = {s}: F = {s.frobenius}, m = {s.multiplicity}, "
@@ -20,12 +20,12 @@ print()
 
 print("all seven pickers on the same start:")
 for theta in ThetaMap:
-    print(f"  {theta.value:>10}: {mu(theta, s)} steps")
+    print(f"  {theta.value:>10}: {chain(theta, s).length} steps")
 print()
 
 t = NumericalSemigroup(4, 6, 9, 11)
 print(f"T = {t}: complexity {complexity(t)}, "
-      f"but the PF picker needs {mu(ThetaMap.PF, t)} steps:")
+      f"but the PF picker needs {chain(ThetaMap.PF, t).length} steps:")
 for link in chain(ThetaMap.PF, t):
     print(f"  {link}")
 print()

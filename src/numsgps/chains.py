@@ -4,8 +4,8 @@ An i-chain climbs from S to the full monoid through ideal-extension
 steps.  The *complexity* C(S) is the least possible chain length; it has
 the closed form ⌊F(S)/m(S)⌋ + 1, with C = 0 reserved for the full monoid
 itself.  Repeatedly enlarging S by a pertinent selection θ(S) of its
-gaps always reaches the full monoid in finitely many steps; μ(θ,S)
-counts those steps and is bounded below by C(S).
+gaps always reaches the full monoid in finitely many steps; μ(θ,S), the
+number of those steps, is chain(θ, S).length and is bounded below by C(S).
 
 Seven selections are provided.  Six pick pseudo-Frobenius numbers in
 various ways; the seventh, gamma, picks every gap in the top block
@@ -39,7 +39,6 @@ __all__ = [
     "chain",
     "classify",
     "complexity",
-    "mu",
     "theta_apply",
     "validate_chain",
 ]
@@ -142,11 +141,6 @@ def chain(theta: ThetaMap, s: NumericalSemigroup) -> IChain:
         cur = _extend(cur, theta_apply(theta, cur))
         links.append(cur)
     return IChain(tuple(links))
-
-
-def mu(theta: ThetaMap, s: NumericalSemigroup) -> int:
-    """Number of θ-steps from s to the full monoid; at least complexity(s)."""
-    return chain(theta, s).length
 
 
 def complexity(s: NumericalSemigroup) -> int:

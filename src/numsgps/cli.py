@@ -69,7 +69,9 @@ def cmd_info(args, parser):
     s = _semigroup_from(args, parser)
     if s.genus > MAX_INFO_GENUS:
         raise GenusTooLarge(f"genus {s.genus} exceeds the info guard {MAX_INFO_GENUS}")
-    d = s.to_dict()
+    d = {"generators": list(s.min_generators), "frobenius": s.frobenius, "genus": s.genus,
+         "multiplicity": s.multiplicity, "small_elements": list(s.small_elements),
+         "pf": None if s.is_whole else list(s.pseudo_frobenius())}
 
     def lines():
         yield f"semigroup: {s}"

@@ -27,7 +27,7 @@ what equality of objects compares, check_complexity compares each gamma
 link with the tuple read off the gap int of S with its top bits
 cleared, and an object is built only where one is returned
 (_semigroup).  A fast route's object becomes an int, by its gaps
-(_gap_int, _gaps_below), only to seed a scan or a read, or to be named.
+(_gap_int), only to seed a scan or a read, or to be named.
 Every genus guard fires before a gap int is made.  So the oracle shares
 no generators, no pertinence and no round robin with the fast routes it
 checks.  It imports, by module:
@@ -130,20 +130,16 @@ def _levels(max_genus: int) -> list[list[int]]:
 def _gap_int(s: NumericalSemigroup, bound: int = MAX_ORACLE_GENUS, name: str = "oracle") -> int:
     """The gap int of s, made only once the genus guard ``bound`` has passed.
 
-    It reads only the x ≤ F, where Apéry tuples that differ can read the
-    same: one kept modulo a number that is not the multiplicity of what it
-    reads, or one with an entry of the wrong residue.  So the checks never
-    compare a fast route's objects by this int (see check_extensions).
+    It reads, by the rule of s.gaps, only the x ≤ F, where Apéry tuples
+    that differ can read the same: one kept modulo a number that is not
+    the multiplicity of what it reads, or one with an entry of the wrong
+    residue.  So the checks never compare a fast route's objects by this
+    int (see check_extensions).
     """
     if s.genus > bound:
         raise GenusTooLarge(f"genus {s.genus} exceeds the {name} guard {bound}")
-    return _gaps_below(s, s.frobenius + 1)
-
-
-def _gaps_below(s: NumericalSemigroup, n: int) -> int:
-    """The gap int of s with every bit at or above n cleared, by the rule of s.gaps."""
     m, ap = s.multiplicity, s._apery
-    return sum(1 << x for x in range(1, n) if x < ap[x % m])
+    return sum(1 << x for x in range(1, s.frobenius + 1) if x < ap[x % m])
 
 
 def _closed(g: int) -> bool:
@@ -365,22 +361,24 @@ def check_complexity(catalog: GenusCatalog) -> str | None:
 
     Link k ≥ 1 of the gamma chain of S, j = C(S) − k steps above ℕ, is S
     with every integer at or above j·m filled in, so its Apéry tuple must
-    be the one _apery reads off the gap int of S with those bits cleared
-    (_gamma_reads); j = 0 gives ℕ.  Link 0 is S itself.  The shortest
-    chain runs first, so its genus guard fires before a gap int is made.
+    be the one _apery reads off the gap int g of S with those bits cleared
+    (_gamma_reads); j = 0 gives ℕ.  Link 0 is S itself.  g is made once
+    per member, behind the catalog's genus guard, as min_ichain_bfs makes
+    it, and seeds both the shortest chain and the link reads.
     """
     for s in catalog.semigroups:
         c, links = complexity(s), chain(ThetaMap.GAMMA, s).links
         if c != (steps := len(links) - 1):
             return f"complexity mismatch at {_name(s)}: closed-form={c} gamma-chain={steps}"
-        if c != (shortest := min_ichain_bfs(s)):
+        g = _gap_int(s, MAX_CATALOG_GENUS, "catalog")
+        if c != (shortest := _shortest(g)):
             return f"complexity mismatch at {_name(s)}: closed-form={c} bfs={shortest}"
         m = s.multiplicity
-        reads = _gamma_reads(_gaps_below(s, (c - 1) * m))  # ℕ's chain has no link past itself
+        reads = _gamma_reads(g & (1 << max(c - 1, 0) * m) - 1)  # ℕ, with c = 0, has no link 1
         for k, (t, read) in enumerate(zip(links[1:], reads), 1):
             if t._apery != read:
                 return (f"complexity mismatch at {_name(s)}: gamma link {k}={_name(t)} "
-                        f"brute={_int_name(_gaps_below(s, (c - k) * m))}")
+                        f"brute={_int_name(g & (1 << (c - k) * m) - 1)}")
     return None
 
 
@@ -388,7 +386,7 @@ def check_complexity(catalog: GenusCatalog) -> str | None:
 # gamma chain: h with every bit at or above ⌊F/m⌋·m cleared, and so on
 # down to ℕ, whose gap int is 0.  The links of one semigroup are those of
 # its first link, so each int is read once.  check_complexity reads only
-# links of semigroups that min_ichain_bfs has admitted, and a link has no
+# links of semigroups that the catalog guard has admitted, and a link has no
 # more gaps, so the memo holds at most the 1413 semigroups of the genus-12
 # catalog.
 _reads = {0: ((0,),)}

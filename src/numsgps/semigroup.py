@@ -143,6 +143,7 @@ class NumericalSemigroup:
 
     def elements(self, limit: int):
         """Iterate the members x with 0 <= x <= limit in increasing order."""
+        _check_ints((limit,), -inf, "limit must be an integer")
         m, ap = self.multiplicity, self._apery
         return (x for x in range(limit + 1) if x >= ap[x % m])
 
@@ -202,11 +203,6 @@ class NumericalSemigroup:
             if w + v > rest[-1]:
                 pf.append(w - m)
         return tuple(pf)
-
-    def leq(self, a: int, b: int) -> bool:
-        """The semigroup partial order: a <= b iff b - a is a member; a and b are ints."""
-        _check_ints((a, b), -inf, "leq compares integers")
-        return (b - a) in self
 
     # -- derived semigroups ----------------------------------------------
 
@@ -284,17 +280,6 @@ class NumericalSemigroup:
 
     def __repr__(self) -> str:
         return f"NumericalSemigroup({self})"
-
-    def to_dict(self) -> dict:
-        """JSON-ready summary of the semigroup and its invariants."""
-        return {
-            "generators": list(self.min_generators),
-            "frobenius": self.frobenius,
-            "genus": self.genus,
-            "multiplicity": self.multiplicity,
-            "small_elements": list(self.small_elements),
-            "pf": None if self.is_whole else list(self.pseudo_frobenius()),
-        }
 
 
 # -- module-level operation aliases ---------------------------------------

@@ -5,7 +5,7 @@ the pytest -v status line per test doubles as the pass/fail record.
 """
 import time
 
-from numsgps.chains import ThetaMap, chain, complexity, mu, theta_apply
+from numsgps.chains import ThetaMap, chain, complexity, theta_apply
 from numsgps.extensions import ideal_extensions, is_pertinent
 from numsgps.genealogy import count, enumerate_semigroups, shift_embed
 from numsgps.oracle import (enumerate_by_genus, extensions_bruteforce,
@@ -64,12 +64,12 @@ def test_criterion_04_pf_chain_overshoot_and_minimality():
     links = chain(ThetaMap.PF, s).links
     assert [l.min_generators for l in links] == [
         (4, 6, 9, 11), (2, 5), (2, 3), (1,)]
-    assert mu(ThetaMap.PF, s) == 3
+    assert chain(ThetaMap.PF, s).length == 3
     # gaps fit inside [1, F], so genus <= 6 covers every F <= 6
     for other in enumerate_by_genus(6).semigroups:
         if other.is_whole or other.frobenius > 6:
             continue
-        assert mu(ThetaMap.PF, other) == complexity(other), other
+        assert chain(ThetaMap.PF, other).length == complexity(other), other
     elapsed = time.perf_counter() - t0
     _report(4, "PF chain of <4,6,9,11> overshoots; no overshoot below F=7",
             elapsed, 1.0)
@@ -105,7 +105,7 @@ def test_criterion_06_complexity_formula_suite(catalog10):
         m = s.multiplicity
         assert (c - 1) * m < s.frobenius < c * m
         assert c == s.frobenius // m + 1
-        assert c == mu(ThetaMap.GAMMA, s)
+        assert c == chain(ThetaMap.GAMMA, s).length
     elapsed = time.perf_counter() - t0
     _report(6, "Frobenius bracketing and the gamma-chain formula, genus <= 10",
             elapsed, 30.0)
@@ -155,12 +155,12 @@ def test_criterion_09_selection_suite_and_named_families(catalog10):
             gaps = set(range(1, k * m)) - {j * m for j in range(1, k)}
             s = from_gaps(gaps)
             assert complexity(s) == k
-            assert mu(ThetaMap.PF, s) == k, (m, k)
+            assert chain(ThetaMap.PF, s).length == k, (m, k)
     # the family {0, 2k, 3k, 4k, ->}: complexity 2 but three PF steps
     for k in range(2, 11):
         s = from_gaps(set(range(1, 4 * k)) - {2 * k, 3 * k})
         assert complexity(s) == 2
-        assert mu(ThetaMap.PF, s) == 3, k
+        assert chain(ThetaMap.PF, s).length == 3, k
     elapsed = time.perf_counter() - t0
     _report(9, "all seven selections pertinent; both named families behave",
             elapsed, 30.0)

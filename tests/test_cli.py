@@ -288,7 +288,7 @@ def test_public_names_are_pinned():
         "ThetaMap", "TypeTooLarge", "WHOLE", "WholeMonoid", "chain", "classify",
         "complexity", "count", "enumerate_by_genus", "enumerate_semigroups", "export_dot",
         "extensions_bruteforce", "from_gaps", "ideal_extensions", "is_ideal_extension",
-        "is_pertinent", "min_ichain_bfs", "mu", "pertinent_sets", "pf_bruteforce",
+        "is_pertinent", "min_ichain_bfs", "pertinent_sets", "pf_bruteforce",
         "pf_gap_search", "root", "shift_embed", "theta_apply", "validate_chain",
     ]
 

@@ -3,7 +3,7 @@ import time
 import pytest
 
 from numsgps.chains import (Classification, IChain, ThetaMap, chain,
-                            classify, complexity, mu, theta_apply,
+                            classify, complexity, theta_apply,
                             validate_chain)
 from numsgps.errors import ChainTooLong, WholeMonoid
 from numsgps.extensions import is_pertinent
@@ -71,16 +71,15 @@ def test_pf_chain_overshoots():
     c = chain(ThetaMap.PF, T46911)
     assert [l.min_generators for l in c.links] == [
         (4, 6, 9, 11), (2, 5), (2, 3), (1,)]
-    assert mu(ThetaMap.PF, T46911) == 3 > complexity(T46911) == 2
+    assert c.length == 3 > complexity(T46911) == 2
     v = NumericalSemigroup(5, 7, 9, 11, 13)
-    assert complexity(v) == 2 and mu(ThetaMap.PF, v) == 3
+    assert complexity(v) == 2 and chain(ThetaMap.PF, v).length == 3
 
 
 def test_chain_on_whole_monoid():
     for theta in ThetaMap:
         c = chain(theta, WHOLE)
         assert c.links == (WHOLE,) and c.length == 0
-        assert mu(theta, WHOLE) == 0
 
 
 def test_complexity_closed_form():
@@ -156,14 +155,14 @@ def test_pf_selection_chains_match_the_checked_adjoin(catalog12, monkeypatch):
 
 def test_gamma_realizes_the_minimum(catalog10):
     for s in catalog10.semigroups:
-        assert mu(ThetaMap.GAMMA, s) == complexity(s), s
+        assert chain(ThetaMap.GAMMA, s).length == complexity(s), s
 
 
 def test_mu_never_beats_complexity(catalog8):
     for s in catalog8.semigroups:
         c = complexity(s)
         for theta in ThetaMap:
-            assert mu(theta, s) >= c, (s, theta)
+            assert chain(theta, s).length >= c, (s, theta)
 
 
 def test_frobenius_bracketing(catalog10):
@@ -239,7 +238,7 @@ def test_chain_guard_counts_the_links_of_other_selections(monkeypatch):
     # the PF chain of <4,6,9,11> has 4 links: <4,6,9,11>, <2,5>, <2,3>, <1>
     assert len(chain(ThetaMap.PF, T46911).links) == 4
     monkeypatch.setattr(chains, "MAX_CHAIN_LINKS", 4)
-    assert mu(ThetaMap.PF, T46911) == 3
+    assert chain(ThetaMap.PF, T46911).length == 3
     monkeypatch.setattr(chains, "MAX_CHAIN_LINKS", 3)
     with pytest.raises(ChainTooLong, match="exceeds 3 links"):
         chain(ThetaMap.PF, T46911)

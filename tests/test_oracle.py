@@ -208,14 +208,20 @@ def test_min_ichain_bfs_guard():
 
 
 def test_check_complexity_runs_the_shortest_chain_on_every_member(catalog12, monkeypatch):
-    calls = []
+    # one gap int per member, made behind the catalog guard, and each one
+    # reaches the shortest-chain memo
+    calls, gap_int = [], oracle._gap_int
 
-    def counted(s):
-        calls.append(s)
-        return min_ichain_bfs(s)
-    monkeypatch.setattr(oracle, "min_ichain_bfs", counted)
+    def counted(s, *guard):
+        g = gap_int(s, *guard)
+        if guard[1:] == ("catalog",):
+            calls.append(g)
+        return g
+    monkeypatch.setattr(oracle, "_gap_int", counted)
+    monkeypatch.setattr(oracle, "_steps", {0: 0})
     assert check_complexity(catalog12) is None
     assert len(calls) == len(catalog12.semigroups) == 1413
+    assert set(calls) <= set(oracle._steps)
 
 
 def test_min_ichain_matches_complexity(catalog10):
@@ -334,7 +340,7 @@ def test_check_reports_name_the_first_counterexample(catalog8, monkeypatch):
     monkeypatch.setattr(oracle, "_extension_ints", lambda s: [])
     assert check_extensions(catalog8) == (
         "extensions mismatch at <2,3>: fast=['<2,3>', '<1>'] brute=[]")
-    monkeypatch.setattr(oracle, "min_ichain_bfs", lambda s: 99)
+    monkeypatch.setattr(oracle, "_shortest", lambda g: 99)
     assert check_complexity(catalog8) == "complexity mismatch at <1>: closed-form=0 bfs=99"
 
 

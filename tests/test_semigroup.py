@@ -76,6 +76,12 @@ def test_membership():
     assert list(s.elements(12)) == [0, 5, 6, 8, 9, 10, 11, 12]
 
 
+@pytest.mark.parametrize("bad", [2.5, "3", None, True])
+def test_elements_refuses_a_limit_that_is_no_integer(bad):
+    with pytest.raises(ValueError, match="limit must be an integer"):
+        NumericalSemigroup(5, 6, 8, 9).elements(bad)
+
+
 def test_members_match_naive_generation(catalog8):
     for s in catalog8.semigroups:
         upto = max(s.frobenius + 1, 1)
@@ -168,22 +174,6 @@ def test_type_bound_is_tight_for_ordinary():
         assert len(from_gaps(range(1, m)).pseudo_frobenius()) == m - 1
 
 
-def test_leq_partial_order():
-    s = NumericalSemigroup(5, 6, 8, 9)
-    assert s.leq(6, 14) and not s.leq(6, 13)
-    assert s.leq(0, 9) and s.leq(9, 9)
-    assert not s.leq(9, 5)
-
-
-@pytest.mark.parametrize("bad", ["5", 5.0, None, True])
-def test_leq_refuses_non_integers(bad):
-    s = NumericalSemigroup(5, 6, 8, 9)
-    with pytest.raises(ValueError, match="leq compares integers"):
-        s.leq(bad, 10)
-    with pytest.raises(ValueError, match="leq compares integers"):
-        s.leq(0, bad)
-
-
 def test_from_gaps():
     assert from_gaps({1, 2, 4}).min_generators == (3, 5, 7)
     assert from_gaps({1, 3}).min_generators == (2, 5)
@@ -271,19 +261,6 @@ def test_issubset(catalog8):
     for t in catalog8.semigroups:
         assert t.issubset(WHOLE)
         assert t.issubset(t)
-
-
-def test_to_dict():
-    t = NumericalSemigroup(4, 6, 9, 11)
-    assert t.to_dict() == {
-        "generators": [4, 6, 9, 11],
-        "frobenius": 7,
-        "genus": 5,
-        "multiplicity": 4,
-        "small_elements": [0, 4, 6, 8],
-        "pf": [2, 5, 7],
-    }
-    assert WHOLE.to_dict()["pf"] is None
 
 
 def test_immutability():

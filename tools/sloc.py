@@ -1,12 +1,14 @@
-"""Count the code lines and public names of each module in src/numsgps/.
+"""Count the code lines, public names and public methods of each module in src/numsgps/.
 
 A code line holds at least one token that is not a comment; blank lines,
 comment-only lines and docstrings (module, class and function) are left
 out.  A module's public names are the strings of its literal ``__all__``,
 read with ast, so nothing is imported; a module with none prints "-".
 The package re-exports every module's names, so the names column totals
-to the length of ``numsgps.__all__``.  Standard library only.  Run from
-anywhere:
+to the length of ``numsgps.__all__``.  A module's public methods are the
+functions, properties among them, defined in its class bodies under a
+name with no leading underscore, also read with ast; each name counts
+once per class.  Standard library only.  Run from anywhere:
 
     python3 tools/sloc.py
 """
@@ -53,16 +55,26 @@ def public_names(tree: ast.Module) -> int | None:
     return None
 
 
+def public_methods(tree: ast.Module) -> int:
+    """How many public methods and properties the class bodies of ``tree`` define."""
+    return sum(len({node.name for node in cls.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not node.name.startswith("_")})
+               for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef))
+
+
 def main() -> int:
-    total = names_total = 0
-    print(f"{'code':>6}  {'names':>5}  module")
+    total = names_total = methods_total = 0
+    print(f"{'code':>6}  {'names':>5}  {'methods':>7}  module")
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8")
-        n, names = code_lines(source), public_names(ast.parse(source))
+        tree = ast.parse(source)
+        n, names, methods = code_lines(source), public_names(tree), public_methods(tree)
         total += n
         names_total += names or 0
-        print(f"{n:6d}  {'-' if names is None else names:>5}  {path.name}")
-    print(f"{total:6d}  {names_total:5d}  total")
+        methods_total += methods
+        print(f"{n:6d}  {'-' if names is None else names:>5}  {methods:7d}  {path.name}")
+    print(f"{total:6d}  {names_total:5d}  {methods_total:7d}  total")
     return 0
 
 
