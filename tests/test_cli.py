@@ -118,6 +118,17 @@ def test_info_json(capsys):
     assert payload["pf"] is None and payload["frobenius"] == -1
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("<4,6,9,11>", {"generators": [4, 6, 9, 11], "frobenius": 7, "genus": 5,
+                    "multiplicity": 4, "small_elements": [0, 4, 6, 8], "pf": [2, 5, 7]}),
+    ("<1>", {"generators": [1], "frobenius": -1, "genus": 0,
+             "multiplicity": 1, "small_elements": [0, 1], "pf": None}),
+], ids=["T46911", "whole"])
+def test_info_json_payload_is_complete(capsys, text, expected):
+    assert run("info", text, "--json") == 0
+    assert json.loads(capsys.readouterr().out) == expected
+
+
 def test_info_from_gaps(capsys):
     assert run("info", "--gaps", "1,2,3,4,7", "--json") == 0
     payload = json.loads(capsys.readouterr().out)

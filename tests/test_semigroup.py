@@ -174,6 +174,18 @@ def test_type_bound_is_tight_for_ordinary():
         assert len(from_gaps(range(1, m)).pseudo_frobenius()) == m - 1
 
 
+def test_membership_order_is_a_partial_order(catalog8):
+    # a <= b iff b - a is a member: reflexive, antisymmetric and transitive
+    s = NumericalSemigroup(5, 6, 8, 9)
+    assert 14 - 6 in s and 13 - 6 not in s and 9 - 5 not in s
+    for s in catalog8.semigroups:
+        xs = range(s.frobenius + 2)
+        assert all(a - a in s for a in xs)
+        assert all(a == b for a in xs for b in xs if b - a in s and a - b in s)
+        assert all(c - a in s for a in xs for b in xs for c in xs
+                   if b - a in s and c - b in s), s
+
+
 def test_from_gaps():
     assert from_gaps({1, 2, 4}).min_generators == (3, 5, 7)
     assert from_gaps({1, 3}).min_generators == (2, 5)
