@@ -6,7 +6,7 @@ payable, sums of payable amounts are payable, and only finitely many
 amounts are impossible.  This script builds a few semigroups and prints
 the classical data attached to them.
 """
-from numsgps import NumericalSemigroup, from_gaps
+from numsgps import NumericalSemigroup
 
 s = NumericalSemigroup(5, 6, 8, 9)
 print(f"S = {s}, generated by 5, 6, 8 and 9")
@@ -30,7 +30,7 @@ print(f"  their count is the type, t(S) = {len(pf)}")
 print()
 
 print("the same semigroup can be built from its gap set:")
-rebuilt = from_gaps(s.gaps)
+rebuilt = NumericalSemigroup.from_gaps(s.gaps)
 print(f"  from_gaps({set(s.gaps)}) == S  ->  {rebuilt == s}")
 print()
 

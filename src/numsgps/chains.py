@@ -89,8 +89,10 @@ def theta_apply(theta: ThetaMap, s: NumericalSemigroup) -> frozenset[int]:
     """The gap selection named by ``theta``; nonempty and pertinent for s ≠ ℕ.
 
     Halving comparisons are done on doubled integers (2x ≥ F, 2x > F),
-    never through floating point.
+    never through floating point.  Anything but a ThetaMap is refused
+    before any work.
     """
+    _check_theta(theta)
     if s.is_whole:
         raise WholeMonoid("gap selections are undefined for the full monoid")
     f = s.frobenius
@@ -108,9 +110,12 @@ def theta_apply(theta: ThetaMap, s: NumericalSemigroup) -> frozenset[int]:
         return frozenset(x for x in pf if x > f - s.multiplicity)
     if theta is ThetaMap.ABOVE_F_MINUS_G:
         return frozenset(x for x in pf if x > f - s.genus)
-    if theta is ThetaMap.MIN_ABOVE_HALF_F:
-        return frozenset({min(x for x in pf if 2 * x > f)})
-    raise ValueError(f"unknown selection {theta!r}")
+    return frozenset({min(x for x in pf if 2 * x > f)})  # ThetaMap.MIN_ABOVE_HALF_F
+
+
+def _check_theta(theta) -> None:
+    if not isinstance(theta, ThetaMap):
+        raise ValueError(f"unknown selection {theta!r}")
 
 
 def chain(theta: ThetaMap, s: NumericalSemigroup) -> IChain:
@@ -123,7 +128,9 @@ def chain(theta: ThetaMap, s: NumericalSemigroup) -> IChain:
     the chain.  The other selections step by _extend.  Raises
     ChainTooLong for a chain of more than MAX_CHAIN_LINKS links, and for
     gamma, whose C(S) + 1 links are known, before the first link is built.
+    Anything but a ThetaMap is refused first, even for ℕ.
     """
+    _check_theta(theta)
     if theta is ThetaMap.GAMMA and not s.is_whole:
         if complexity(s) >= MAX_CHAIN_LINKS:
             raise ChainTooLong(f"chain of {s} exceeds {MAX_CHAIN_LINKS} links")

@@ -13,17 +13,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .chains import ThetaMap, chain, classify, complexity
 from .errors import GenusTooLarge, SemigroupError
 from .extensions import ideal_extensions
-from .genealogy import DEFAULT_NODE_CAP, count, enumerate_semigroups, export_dot
+from .genealogy import count, enumerate_semigroups, export_dot
 from .oracle import CHECKS, enumerate_by_genus, pf_gap_search
-from .semigroup import NumericalSemigroup, from_gaps
+from .semigroup import NumericalSemigroup
 
-NODE_CAP_ENV = "NUMSGPS_NODE_CAP"
 # info lists every gap and every small element, about 2·genus numbers, so a
 # larger genus is refused before either list is made: <2,1048577>, of genus
 # 2^19, takes 0.7 s, and <2,1099511627777>, which the Frobenius guard admits,
@@ -42,7 +40,7 @@ def _semigroup_from(args, parser) -> NumericalSemigroup:
     if args.gaps is not None and args.semigroup is not None:
         parser.error("give a semigroup literal or --gaps, not both")
     if args.gaps is not None:
-        return from_gaps(_parse_int_list(args.gaps))
+        return NumericalSemigroup.from_gaps(_parse_int_list(args.gaps))
     if args.semigroup is None:
         parser.error("a semigroup literal (or --gaps) is required")
     return NumericalSemigroup.parse(args.semigroup)
@@ -52,17 +50,6 @@ def _msg_line(gens, gap_style: bool) -> str:
     if gap_style:
         return "[ " + ", ".join(str(g) for g in gens) + " ]"
     return "[" + ",".join(str(g) for g in gens) + "]"
-
-
-def _node_cap() -> int:
-    raw = os.environ.get(NODE_CAP_ENV, str(DEFAULT_NODE_CAP))
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0  # reported below with the other invalid values
-    if cap < 1:
-        raise ValueError(f"{NODE_CAP_ENV} must be a positive integer, got {raw!r}")
-    return cap
 
 
 def cmd_info(args, parser):
@@ -91,7 +78,7 @@ def cmd_info(args, parser):
 
 def cmd_extensions(args, parser):
     s = _semigroup_from(args, parser)
-    exts = [list(e.min_generators) for e in ideal_extensions(s, proper=args.proper)]
+    exts = [list(e.min_generators) for e in ideal_extensions(s)[1 if args.proper else 0:]]
     return exts, (_msg_line(gens, args.gap_style) for gens in exts)
 
 
@@ -111,14 +98,14 @@ def cmd_complexity(args, parser):
 
 def cmd_enumerate(args, parser):
     if args.count:
-        return None, (str(count(args.multiplicity, args.complexity, max_nodes=_node_cap())),)
-    found = [list(s.min_generators) for s in enumerate_semigroups(
-        args.multiplicity, args.complexity, max_nodes=_node_cap())]
+        return None, (str(count(args.multiplicity, args.complexity)),)
+    found = [list(s.min_generators) for s in enumerate_semigroups(args.multiplicity,
+                                                                  args.complexity)]
     return found, (_msg_line(gens, args.gap_style) for gens in found)
 
 
 def cmd_tree_dot(args, parser):
-    return None, export_dot(args.multiplicity, args.depth, _node_cap()).splitlines()
+    return None, export_dot(args.multiplicity, args.depth).splitlines()
 
 
 def cmd_verify(args, parser):

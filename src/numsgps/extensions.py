@@ -76,12 +76,12 @@ def pertinent_sets(s: NumericalSemigroup) -> list[tuple[int, ...]]:
     return found
 
 
-def ideal_extensions(s: NumericalSemigroup, proper: bool = False) -> list[NumericalSemigroup]:
+def ideal_extensions(s: NumericalSemigroup) -> list[NumericalSemigroup]:
     """All ideal extensions of s, i.e. {s ∪ A : A pertinent}.
 
-    Includes s itself (A = ∅) unless ``proper`` is set.  Sorted by genus
-    descending then msg lexicographic, so s comes first and the largest
-    extension s ∪ PF(s) last.
+    Includes s itself (A = ∅), so the proper ones are ideal_extensions(s)[1:].
+    Sorted by genus descending then msg lexicographic, so s comes first and
+    the largest extension s ∪ PF(s) last.
 
     That is the order of pertinent_sets, by size and then sorted members, so
     no sort runs.  The genus of s ∪ A is g(s) − |A|.  For |A| = |B|, the
@@ -90,8 +90,7 @@ def ideal_extensions(s: NumericalSemigroup, proper: bool = False) -> list[Numeri
     iff x is in A.  A and B have the same members below x, so sorted A
     comes before sorted B exactly then too.
     """
-    found = pertinent_sets(s)
-    return [_extend(s, a) for a in (found[1:] if proper else found)]  # () is s itself
+    return [_extend(s, a) for a in pertinent_sets(s)]  # () is s itself
 
 
 def _extend(s: NumericalSemigroup, a) -> NumericalSemigroup:

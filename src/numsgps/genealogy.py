@@ -16,8 +16,9 @@ only the last level.  No public call lists a node's children; a level
 comes from enumerate_semigroups, and the edges with their labels from
 export_dot.  count does not build its last level at all: it stops one
 level short and counts 2^k − 1 children for each node with k removable
-generators.  A node's removable generators (_candidates) are the w_i
-above ⌊max w/m⌋·m that are no sum of two nonzero members, found by
+generators.  Every walk is refused past MAX_TREE_NODES nodes, built or
+counted.  A node's removable generators (_candidates) are the w_i above
+⌊max w/m⌋·m that are no sum of two nonzero members, found by
 semigroup._generators_above, the rule that derives every instance's
 minimal generators; export_dot names each node by the same rule with no
 bound.  oracle.check_tree walks the same tuples by _walk and certifies
@@ -43,7 +44,11 @@ __all__ = [
     "shift_embed",
 ]
 
-DEFAULT_NODE_CAP = 10_000_000
+# A walk keeps every node of the level it builds, an Apéry tuple of m ints
+# each, and the levels grow fast with m and c (count(10, 3) is 7931), so a
+# walk past this many nodes, the root included, is refused.  Read at call
+# time, so a test can patch it.
+MAX_TREE_NODES = 10_000_000
 
 
 def root(m: int) -> NumericalSemigroup:
@@ -79,20 +84,21 @@ def _apery_edges(ap):
             yield edges[-1]
 
 
-def _walk(m: int, depth: int, max_nodes: int):
+def _walk(m: int, depth: int):
     """Breadth-first levels 0..depth of the multiplicity-m tree, on Apéry tuples.
 
     Each level is a list of (parent, child, removed) triples, the child
     grown from the parent by _apery_edges, level 0 being
     [(None, Ap(root(m), m), None)].  Raises LevelTooLarge on the first
-    node past ``max_nodes``, the root included.  Every level holds a node,
-    as shift_embed maps each level into the next, so depth ≥ max_nodes is
-    refused before the root is expanded.
+    node past MAX_TREE_NODES, the root included.  Every level holds a
+    node, as shift_embed maps each level into the next, so a depth at or
+    past the cap is refused on the first step, before the root is
+    expanded.  A level is built only when the step after its parent's
+    yield is asked for, so a caller that stops early builds no more.
     """
-    _check_ints((max_nodes,), -inf, "node cap must be an integer")
     r = root(m)
-    if depth >= max_nodes:
-        raise _too_large(r, max_nodes)
+    if depth >= MAX_TREE_NODES:
+        raise _too_large(r)
     lvl, built = [(None, r._apery, None)], 1
     for _ in range(depth):
         yield lvl
@@ -100,50 +106,52 @@ def _walk(m: int, depth: int, max_nodes: int):
         for _, ap, _ in lvl:
             for child, removed in _apery_edges(ap):
                 built += 1
-                if built > max_nodes:
-                    raise _too_large(r, max_nodes)
+                if built > MAX_TREE_NODES:
+                    raise _too_large(r)
                 nxt.append((ap, child, removed))
         lvl = nxt
     yield lvl
 
 
-def _too_large(r, max_nodes):
-    return LevelTooLarge(f"tree below {r} exceeds the cap of {max_nodes} nodes")
+def _too_large(r):
+    return LevelTooLarge(f"tree below {r} exceeds the cap of {MAX_TREE_NODES} nodes")
 
 
-def enumerate_semigroups(m: int, c: int,
-                         max_nodes: int = DEFAULT_NODE_CAP) -> list[NumericalSemigroup]:
+def enumerate_semigroups(m: int, c: int) -> list[NumericalSemigroup]:
     """All numerical semigroups with multiplicity m and complexity c, sorted by generators.
 
     They are the depth c−1 level of the multiplicity-m tree.  Raises
     LevelTooLarge as soon as the tree down to that depth passes
-    ``max_nodes`` nodes.
+    MAX_TREE_NODES nodes.
     """
     _check_ints((c,), -inf, "complexity must be an integer")
     if c < 1:
         raise ValueError("complexity must be at least 1")
-    for last in _walk(m, c - 1, max_nodes):
+    for last in _walk(m, c - 1):
         pass
     return sorted((_from_apery(m, ap) for _, ap, _ in last), key=lambda s: s.min_generators)
 
 
-def count(m: int, c: int, max_nodes: int = DEFAULT_NODE_CAP) -> int:
+def count(m: int, c: int) -> int:
     """How many semigroups have multiplicity m and complexity c.
 
     The last level is counted, not built: a node with k removable
     generators has exactly 2^k − 1 children, one per nonempty subset, so
-    the walk stops one level short and sums those.  The node cap covers
-    the counted level as if it were built.
+    the walk to depth c − 1 is stopped one level short and sums those.
+    The node cap covers the counted level as if it were built, and the
+    walk refuses a depth c − 1 at or past it before the root is expanded.
     """
     _check_ints((c,), -inf, "complexity must be an integer")
     if c < 2:
-        return len(enumerate_semigroups(m, c, max_nodes))
+        return len(enumerate_semigroups(m, c))
     built = 0
-    for lvl in _walk(m, c - 2, max_nodes):
+    for depth, lvl in enumerate(_walk(m, c - 1)):
         built += len(lvl)
+        if depth == c - 2:
+            break  # level c − 1 is counted below, never built
     leaves = sum(2 ** len(_candidates(ap)) - 1 for _, ap, _ in lvl)
-    if built + leaves > max_nodes:
-        raise _too_large(root(m), max_nodes)
+    if built + leaves > MAX_TREE_NODES:
+        raise _too_large(root(m))
     return leaves
 
 
@@ -159,18 +167,18 @@ def shift_embed(s: NumericalSemigroup) -> NumericalSemigroup:
     return _from_apery(m, (0, *(w + m for w in s._apery[1:])))
 
 
-def export_dot(m: int, max_depth: int, max_nodes: int = DEFAULT_NODE_CAP) -> str:
+def export_dot(m: int, max_depth: int) -> str:
     """DOT digraph of the multiplicity-m tree down to ``max_depth``.
 
     Nodes are generator literals in breadth-first order; each edge is
     labeled with the removed generator set, e.g. {7,8}.  Raises
-    LevelTooLarge as soon as the tree passes ``max_nodes`` nodes.
+    LevelTooLarge as soon as the tree passes MAX_TREE_NODES nodes.
     """
     _check_ints((max_depth,), -inf, "depth must be an integer")
     if max_depth < 0:
         raise ValueError("depth must be nonnegative")
     nodes, edges, names = [], [], {}
-    for lvl in _walk(m, max_depth, max_nodes):
+    for lvl in _walk(m, max_depth):
         for t, ap, removed in lvl:
             names[ap] = name = "<" + ",".join(str(g) for g in (m, *_generators_above(ap, 0))) + ">"
             nodes.append(f'  "{name}";')

@@ -34,7 +34,7 @@ checks.  It imports, by module:
 
     chains: ThetaMap, chain, complexity, theta_apply
     extensions: ideal_extensions
-    genealogy: DEFAULT_NODE_CAP, _walk
+    genealogy: _walk
     semigroup: NumericalSemigroup, _from_apery
 
 The first three lines are what the checks compare: check_tree walks the
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from .chains import ThetaMap, chain, complexity, theta_apply
 from .errors import GenusTooLarge, SemigroupError, TypeTooLarge, WholeMonoid
 from .extensions import ideal_extensions
-from .genealogy import DEFAULT_NODE_CAP, _walk
+from .genealogy import _walk
 from .semigroup import NumericalSemigroup, _from_apery
 
 __all__ = [
@@ -425,7 +425,7 @@ def check_tree(catalog: GenusCatalog) -> str | None:
             by_class.setdefault((s.multiplicity, complexity(s)), Counter())[s] += 1
     for m in range(2, gmax + 2):
         # depth k holds complexity k+1, covered while (k+1)(m-1) <= gmax
-        for k, lvl in enumerate(_walk(m, gmax // (m - 1) - 1, DEFAULT_NODE_CAP)):
+        for k, lvl in enumerate(_walk(m, gmax // (m - 1) - 1)):
             got = Counter()
             for p, ap, removed in lvl:
                 got[child := _from_apery(m, ap)] += 1

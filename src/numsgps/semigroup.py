@@ -49,7 +49,6 @@ from .errors import (
 __all__ = [
     "WHOLE",
     "NumericalSemigroup",
-    "from_gaps",
 ]
 
 # Inputs whose Frobenius number would pass this are refused outright;
@@ -280,11 +279,6 @@ class NumericalSemigroup:
 
     def __repr__(self) -> str:
         return f"NumericalSemigroup({self})"
-
-
-# -- module-level operation aliases ---------------------------------------
-
-from_gaps = NumericalSemigroup.from_gaps
 
 
 # -- construction internals -------------------------------------------------

@@ -10,7 +10,7 @@ from numsgps.extensions import ideal_extensions, is_pertinent
 from numsgps.genealogy import count, enumerate_semigroups, shift_embed
 from numsgps.oracle import (enumerate_by_genus, extensions_bruteforce,
                             min_ichain_bfs, pf_bruteforce)
-from numsgps.semigroup import NumericalSemigroup, from_gaps
+from numsgps.semigroup import NumericalSemigroup
 
 GENUS_COUNTS_0_TO_10 = (1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204)
 
@@ -153,12 +153,12 @@ def test_criterion_09_selection_suite_and_named_families(catalog10):
     for m in range(2, 7):
         for k in range(1, 7):
             gaps = set(range(1, k * m)) - {j * m for j in range(1, k)}
-            s = from_gaps(gaps)
+            s = NumericalSemigroup.from_gaps(gaps)
             assert complexity(s) == k
             assert chain(ThetaMap.PF, s).length == k, (m, k)
     # the family {0, 2k, 3k, 4k, ->}: complexity 2 but three PF steps
     for k in range(2, 11):
-        s = from_gaps(set(range(1, 4 * k)) - {2 * k, 3 * k})
+        s = NumericalSemigroup.from_gaps(set(range(1, 4 * k)) - {2 * k, 3 * k})
         assert complexity(s) == 2
         assert chain(ThetaMap.PF, s).length == 3, k
     elapsed = time.perf_counter() - t0

@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 
 import numsgps
-from numsgps import cli
+from numsgps import cli, genealogy
 from numsgps.genealogy import enumerate_semigroups, export_dot
 from numsgps.oracle import CHECKS
 from numsgps.semigroup import NumericalSemigroup
@@ -246,18 +246,13 @@ def test_gaps_must_be_integers(capsys):
     assert run("info", "--gaps", "1,x") == 2
     assert "expected a comma-separated integer list" in capsys.readouterr().err
 
-def test_node_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("NUMSGPS_NODE_CAP", "10")
-    assert run("enumerate", "-m", "5", "-c", "4") == 2
-    assert "cap of 10 nodes" in capsys.readouterr().err
-    for bad in ("junk", "0", "-1"):
-        monkeypatch.setenv("NUMSGPS_NODE_CAP", bad)
-        assert run("enumerate", "-m", "3", "-c", "1") == 2
+def test_node_cap_applies_to_enumerate(capsys, monkeypatch):
+    monkeypatch.setattr(genealogy, "MAX_TREE_NODES", 10)
+    for count_flag in ([], ["--count"]):
+        assert run("enumerate", "-m", "5", "-c", "4", *count_flag) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "NUMSGPS_NODE_CAP" in captured.err
-        assert run("tree-dot", "-m", "3", "--depth", "0") == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "NUMSGPS_NODE_CAP" in captured.err
+        assert captured.out == ""
+        assert captured.err == "error: tree below <5,6,7,8,9> exceeds the cap of 10 nodes\n"
 
 
 def python(*argv):
@@ -298,7 +293,7 @@ def test_public_names_are_pinned():
         "NotAMember", "NotASemigroup", "NumericalSemigroup", "SemigroupError",
         "ThetaMap", "TypeTooLarge", "WHOLE", "WholeMonoid", "chain", "classify",
         "complexity", "count", "enumerate_by_genus", "enumerate_semigroups", "export_dot",
-        "extensions_bruteforce", "from_gaps", "ideal_extensions", "is_ideal_extension",
+        "extensions_bruteforce", "ideal_extensions", "is_ideal_extension",
         "is_pertinent", "min_ichain_bfs", "pertinent_sets", "pf_bruteforce",
         "pf_gap_search", "root", "shift_embed", "theta_apply", "validate_chain",
     ]
@@ -310,9 +305,19 @@ def test_public_names_are_pinned():
     (["info", "--gaps", "2199023255552"],
      "error: Frobenius number 2199023255552 exceeds 1099511627776"),
     (["chain", "<2,1099511627777>"], "error: chain of <2,1099511627777> exceeds 131072 links"),
-], ids=["not-a-semigroup", "multiplicity-too-large", "frobenius-too-large", "chain-too-long"])
+    # depths at or past the real cap, refused before the root is expanded
+    (["enumerate", "-m", "2", "-c", "10000001", "--count"],
+     "error: tree below <2,3> exceeds the cap of 10000000 nodes"),
+    (["tree-dot", "-m", "2", "--depth", "1000000000"],
+     "error: tree below <2,3> exceeds the cap of 10000000 nodes"),
+], ids=["not-a-semigroup", "multiplicity-too-large", "frobenius-too-large", "chain-too-long",
+        "count-past-node-cap", "tree-dot-past-node-cap"])
 def test_guards_fire_under_python_O(argv, message):
+    # each guard fires before any work grows with its input: the counted depth
+    # 10^7 is refused up front, not after walking 10^7 levels
+    start = time.perf_counter()
     proc = python("-O", "-m", "numsgps.cli", *argv)
+    assert time.perf_counter() - start < 1
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message + "\n")
 
 
@@ -328,7 +333,7 @@ def test_info_refuses_a_genus_it_cannot_list(capsys, json_flag):
 
 
 def test_node_cap_applies_to_tree_dot(capsys, monkeypatch):
-    monkeypatch.setenv("NUMSGPS_NODE_CAP", "5")
+    monkeypatch.setattr(genealogy, "MAX_TREE_NODES", 5)
     assert run("tree-dot", "-m", "4", "--depth", "3") == 2
     captured = capsys.readouterr()
     assert captured.out == ""

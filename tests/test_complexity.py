@@ -8,7 +8,7 @@ from numsgps.chains import (Classification, IChain, ThetaMap, chain,
 from numsgps.errors import ChainTooLong, WholeMonoid
 from numsgps.extensions import is_pertinent
 from numsgps import chains, semigroup
-from numsgps.semigroup import WHOLE, NumericalSemigroup, from_gaps
+from numsgps.semigroup import WHOLE, NumericalSemigroup
 
 S57 = NumericalSemigroup(5, 7)
 S5689 = NumericalSemigroup(5, 6, 8, 9)
@@ -34,11 +34,11 @@ def test_theta_apply_all_seven_on_one_semigroup():
 
 def test_theta_halving_boundaries_are_exact():
     # ordinary with m = 5: F = 4, PF = {1,2,3,4}; 2x >= 4 keeps 2, 2x > 4 drops it
-    o5 = from_gaps(range(1, 5))
+    o5 = NumericalSemigroup.from_gaps(range(1, 5))
     assert theta_apply(ThetaMap.UPPER_HALF_PF, o5) == {2, 3, 4}
     assert theta_apply(ThetaMap.MIN_ABOVE_HALF_F, o5) == {3}
     # smallest Frobenius number of all: F = 1 on {0,2,->}
-    o2 = from_gaps({1})
+    o2 = NumericalSemigroup.from_gaps({1})
     assert theta_apply(ThetaMap.MIN_ABOVE_HALF_F, o2) == {1}
     assert theta_apply(ThetaMap.GAMMA, o2) == {1}
 
@@ -49,9 +49,22 @@ def test_theta_apply_rejects_whole_monoid():
             theta_apply(theta, WHOLE)
 
 
-def test_theta_apply_rejects_an_unknown_selection():
-    with pytest.raises(ValueError, match="unknown selection"):
-        theta_apply("pf", S57)
+@pytest.mark.parametrize("s", [S57, WHOLE], ids=["S57", "whole"])
+@pytest.mark.parametrize("call", [theta_apply, chain], ids=["theta_apply", "chain"])
+def test_an_unknown_selection_is_refused_first(monkeypatch, call, s):
+    # a string, even a ThetaMap value, is refused before any step, and for ℕ too
+    calls = []
+
+    def pf(self):
+        calls.append(self)
+        return derive(self)
+    derive = NumericalSemigroup.pseudo_frobenius
+    monkeypatch.setattr(NumericalSemigroup, "pseudo_frobenius", pf)
+    for theta in ("pf", "gamma"):
+        with pytest.raises(ValueError) as exc:
+            call(theta, s)
+        assert str(exc.value) == f"unknown selection {theta!r}"
+    assert calls == []
 
 def test_gamma_chain_example():
     c = chain(ThetaMap.GAMMA, S57)
@@ -86,7 +99,7 @@ def test_complexity_closed_form():
     assert complexity(S57) == 5
     assert complexity(WHOLE) == 0
     assert complexity(T46911) == 2
-    assert complexity(from_gaps({1})) == 1
+    assert complexity(NumericalSemigroup.from_gaps({1})) == 1
     assert complexity(NumericalSemigroup(2, 3)) == 1
 
 

@@ -24,6 +24,12 @@ G2_DOT = """digraph "G(2)" {
 """
 
 
+@pytest.fixture
+def cap(monkeypatch):
+    """Sets genealogy.MAX_TREE_NODES, which every walk reads when it runs, for one test."""
+    return lambda nodes: monkeypatch.setattr(genealogy, "MAX_TREE_NODES", nodes)
+
+
 def test_root():
     assert root(2).min_generators == (2, 3)
     assert root(3).min_generators == (3, 4, 5)
@@ -120,12 +126,13 @@ def test_level_m2_is_a_single_column():
         assert members[0].min_generators == (2, 2 * k + 3)
 
 
-def test_level_zero_and_errors():
+def test_level_zero_and_errors(cap):
     assert enumerate_semigroups(7, 1) == [root(7)]
     with pytest.raises(ValueError):
         enumerate_semigroups(3, 0)
+    cap(10)
     with pytest.raises(LevelTooLarge):
-        enumerate_semigroups(5, 4, max_nodes=10)
+        enumerate_semigroups(5, 4)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -135,7 +142,6 @@ def test_level_zero_and_errors():
     (lambda: enumerate_semigroups(3, True), "complexity must be an integer, got True"),
     (lambda: export_dot(4, 1.5), "depth must be an integer, got 1.5"),
     (lambda: export_dot(4, True), "depth must be an integer, got True"),
-    (lambda: count(4, 3, max_nodes=2.5), "node cap must be an integer, got 2.5"),
     (lambda: enumerate_by_genus(2.5), "genus bound must be an integer, got 2.5"),
     (lambda: pf_gap_search(3.5), "genus bound must be an integer, got 3.5"),
     # an int out of range gets its range's message
@@ -155,11 +161,13 @@ def test_walk_and_catalog_arguments_are_checked_first(monkeypatch, call, message
     assert str(exc.value) == message
 
 
-def test_level_cap_counts_the_whole_walk():
+def test_level_cap_counts_the_whole_walk(cap):
     # G(2) is one column, so depth 9 is one node but the walk builds ten
+    cap(5)
     with pytest.raises(LevelTooLarge):
-        enumerate_semigroups(2, 10, max_nodes=5)
-    assert enumerate_semigroups(2, 10, max_nodes=10) == [NumericalSemigroup(2, 21)]
+        enumerate_semigroups(2, 10)
+    cap(10)
+    assert enumerate_semigroups(2, 10) == [NumericalSemigroup(2, 21)]
 
 
 def test_enumerate_semigroups():
@@ -211,10 +219,30 @@ def test_levels_match_a_walk_through_checked_removals():
             frontier = [child for t in frontier for child, _ in _checked_children(t)]
 
 
-def test_count_honours_the_node_cap():
+def test_count_honours_the_node_cap(cap):
+    cap(5)
     with pytest.raises(LevelTooLarge):
-        count(2, 10, max_nodes=5)
-    assert count(2, 10, max_nodes=10) == 1
+        count(2, 10)
+    cap(10)
+    assert count(2, 10) == 1
+
+
+def test_count_refuses_a_counted_depth_past_the_cap_first(cap, monkeypatch):
+    # depth c - 1 at or past the cap is refused before the root is expanded, as
+    # enumerate_semigroups and export_dot refuse it, though count builds only to c - 2
+    calls = []
+
+    def edges(ap):
+        calls.append(ap)
+        return apery_edges(ap)
+    apery_edges = genealogy._apery_edges
+    monkeypatch.setattr(genealogy, "_apery_edges", edges)
+    cap(10)
+    for c in (11, 12, 10**30):
+        with pytest.raises(LevelTooLarge, match="^tree below <2,3> exceeds the cap of 10 nodes$"):
+            count(2, c)
+    assert calls == []
+    assert count(2, 10) == 1 and len(calls) == 8  # depths 0..7 expanded, depth 9 counted
 
 
 def test_count_of_the_last_level_matches_building_it():
@@ -225,28 +253,32 @@ def test_count_of_the_last_level_matches_building_it():
             assert count(m, c) == len(enumerate_semigroups(m, c)) == kunz_count(m, c), (m, c)
 
 
-def test_count_cap_covers_the_counted_level():
+def test_count_cap_covers_the_counted_level(cap):
     # G(4) down to depth 2 has 1 + 7 + 15 nodes, the last 15 counted, not built
+    cap(22)
     for walk in (count, enumerate_semigroups):
         with pytest.raises(LevelTooLarge, match="tree below <4,5,6,7> exceeds the cap of 22 nodes"):
-            walk(4, 3, max_nodes=22)
-    assert count(4, 3, max_nodes=23) == len(enumerate_semigroups(4, 3, max_nodes=23)) == 15
+            walk(4, 3)
+    cap(23)
+    assert count(4, 3) == len(enumerate_semigroups(4, 3)) == 15
 
 
 @pytest.mark.parametrize("walk, nodes", [
-    (lambda cap: enumerate_semigroups(3, 1, max_nodes=cap), 1),
-    (lambda cap: count(3, 1, max_nodes=cap), 1),
-    (lambda cap: count(3, 2, max_nodes=cap), 4),  # <3,4,5> and its 3 counted children
-    (lambda cap: export_dot(3, 0, max_nodes=cap), 1),
+    (lambda: enumerate_semigroups(3, 1), 1),
+    (lambda: count(3, 1), 1),
+    (lambda: count(3, 2), 4),  # <3,4,5> and its 3 counted children
+    (lambda: export_dot(3, 0), 1),
 ], ids=["level", "count_c1", "count_c2", "export_dot"])
-def test_node_cap_counts_the_root(walk, nodes):
+def test_node_cap_counts_the_root(cap, walk, nodes):
     # every node from the root on counts, so a cap of 0 refuses even the root
-    for cap in (0, 1):
-        if cap < nodes:
-            with pytest.raises(LevelTooLarge, match=f"<3,4,5> exceeds the cap of {cap} nodes"):
-                walk(cap)
+    for nodes_allowed in (0, 1):
+        cap(nodes_allowed)
+        if nodes_allowed < nodes:
+            with pytest.raises(LevelTooLarge,
+                               match=f"<3,4,5> exceeds the cap of {nodes_allowed} nodes"):
+                walk()
         else:
-            walk(cap)
+            walk()
 
 
 def test_count_does_not_build_its_last_level():
@@ -255,11 +287,11 @@ def test_count_does_not_build_its_last_level():
     assert time.process_time() - start < 0.05
 
 
-@pytest.mark.parametrize("walk", [lambda: count(20, 2, max_nodes=10),
-                                  lambda: export_dot(20, 1, max_nodes=10)],
+@pytest.mark.parametrize("walk", [lambda: count(20, 2), lambda: export_dot(20, 1)],
                          ids=["count", "export_dot"])
-def test_node_cap_fires_before_the_children_exist(walk):
+def test_node_cap_fires_before_the_children_exist(cap, walk):
     # the root of G(20) has 2^19 - 1 children; the walk stops at its eleventh node
+    cap(10)
     start = time.process_time()
     with pytest.raises(LevelTooLarge):
         walk()
@@ -415,9 +447,12 @@ def test_edges_read_the_parent_generators(monkeypatch):
     assert len(edges) == 7 and calls == [t._apery]
 
 
-def test_export_dot_node_cap():
-    assert export_dot(2, 2, max_nodes=3) == G2_DOT  # exactly three nodes
+def test_export_dot_node_cap(cap):
+    cap(3)
+    assert export_dot(2, 2) == G2_DOT  # exactly three nodes
+    cap(2)
     with pytest.raises(LevelTooLarge):
-        export_dot(2, 2, max_nodes=2)
+        export_dot(2, 2)
+    cap(5)
     with pytest.raises(LevelTooLarge):
-        export_dot(4, 3, max_nodes=5)
+        export_dot(4, 3)

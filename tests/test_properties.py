@@ -12,7 +12,7 @@ from numsgps.errors import NotASemigroup
 from numsgps.extensions import _extend, ideal_extensions, pertinent_sets
 from numsgps.genealogy import root, shift_embed
 from numsgps.oracle import extensions_bruteforce
-from numsgps.semigroup import NumericalSemigroup, from_gaps
+from numsgps.semigroup import NumericalSemigroup
 
 # a few seconds in all; construction times vary too much on a shared host for a deadline
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -74,7 +74,7 @@ def test_min_generators_are_minimal(gens):
 @SETTINGS
 @given(semigroups())
 def test_from_gaps_round_trip(s):
-    t = from_gaps(s.gaps)
+    t = NumericalSemigroup.from_gaps(s.gaps)
     assert t == s
     assert (t.frobenius, t.genus, t.multiplicity) == (s.frobenius, s.genus, s.multiplicity)
 
@@ -94,10 +94,10 @@ def test_gap_sets_are_checked_with_the_first_witness(gaps):
     members = {x for x in range(bound + 1) if x not in gaps}
     witness = closure_witness(members, bound)
     if witness is None:
-        assert from_gaps(gaps).gaps == tuple(sorted(gaps))
+        assert NumericalSemigroup.from_gaps(gaps).gaps == tuple(sorted(gaps))
         return
     with pytest.raises(NotASemigroup) as exc:
-        from_gaps(gaps)
+        NumericalSemigroup.from_gaps(gaps)
     assert exc.value.witness == witness
 
 
@@ -190,8 +190,9 @@ def test_gamma_clamp_matches_the_checked_adjoin(s):
 def test_shift_embed_and_root_match_checked_routes(s, m):
     n, f = s.multiplicity, s.frobenius
     # ({n}+S) ∪ {0}: a positive x is a member iff x - n is
-    same_semigroup(shift_embed(s), from_gaps(x for x in range(1, f + n + 1) if x - n not in s))
-    same_semigroup(root(m), from_gaps(range(1, m)))
+    same_semigroup(shift_embed(s), NumericalSemigroup.from_gaps(
+        x for x in range(1, f + n + 1) if x - n not in s))
+    same_semigroup(root(m), NumericalSemigroup.from_gaps(range(1, m)))
 
 
 @SETTINGS
@@ -210,7 +211,7 @@ def test_removing_the_multiplicity_matches_naive_closure(s):
 def test_identity_is_the_apery_set(a, data):
     route = data.draw(st.sampled_from(["gaps", "redundant", "other"]))
     if route == "gaps":
-        b = from_gaps(a.gaps)
+        b = NumericalSemigroup.from_gaps(a.gaps)
     elif route == "redundant":
         b = NumericalSemigroup(*a.min_generators, sum(a.min_generators[:2]))
     else:
@@ -226,7 +227,7 @@ def truncated_semigroups(draw):
     """{0} ∪ (T ∩ [k, ∞)): the nonzero members of T below k are pseudo-Frobenius numbers below m."""
     t = draw(semigroups())
     k = draw(st.integers(t.multiplicity + 1, t.multiplicity + 6))
-    return from_gaps({*t.gaps, *range(1, k)})
+    return NumericalSemigroup.from_gaps({*t.gaps, *range(1, k)})
 
 
 @SETTINGS
@@ -241,7 +242,7 @@ def test_extend_matches_the_checked_adjoin(above, below):
         for a in (empty, whole, *inner[::len(inner) // 64 + 1]):
             trusted, routes = _extend(s, a), [s.adjoin(a)]
             if a and min(a) < s.multiplicity:
-                routes.append(from_gaps(set(s.gaps) - set(a)))
+                routes.append(NumericalSemigroup.from_gaps(set(s.gaps) - set(a)))
             for checked in routes:
                 same_semigroup(trusted, checked)
                 assert (trusted.genus, trusted.frobenius) == (checked.genus, checked.frobenius)

@@ -11,7 +11,7 @@ from numsgps.errors import (FrobeniusTooLarge, GcdNotOne, MultiplicityTooLarge,
                             NotAMember, NotASemigroup, WholeMonoid)
 from numsgps.extensions import _extend, pertinent_sets
 from numsgps.oracle import pf_bruteforce
-from numsgps.semigroup import WHOLE, NumericalSemigroup, from_gaps
+from numsgps.semigroup import WHOLE, NumericalSemigroup
 
 
 def test_basic_invariants():
@@ -154,7 +154,7 @@ def test_pseudo_frobenius():
     assert NumericalSemigroup(5, 6, 8, 9).pseudo_frobenius() == (3, 4, 7)
     assert NumericalSemigroup(4, 6, 9, 11).pseudo_frobenius() == (2, 5, 7)
     assert NumericalSemigroup(5, 7).pseudo_frobenius() == (23,)
-    assert from_gaps(range(1, 6)).pseudo_frobenius() == (1, 2, 3, 4, 5)
+    assert NumericalSemigroup.from_gaps(range(1, 6)).pseudo_frobenius() == (1, 2, 3, 4, 5)
     with pytest.raises(WholeMonoid):
         WHOLE.pseudo_frobenius()
 
@@ -171,7 +171,7 @@ def test_pf_invariants(catalog8):
 
 def test_type_bound_is_tight_for_ordinary():
     for m in range(2, 8):
-        assert len(from_gaps(range(1, m)).pseudo_frobenius()) == m - 1
+        assert len(NumericalSemigroup.from_gaps(range(1, m)).pseudo_frobenius()) == m - 1
 
 
 def test_membership_order_is_a_partial_order(catalog8):
@@ -187,28 +187,28 @@ def test_membership_order_is_a_partial_order(catalog8):
 
 
 def test_from_gaps():
-    assert from_gaps({1, 2, 4}).min_generators == (3, 5, 7)
-    assert from_gaps({1, 3}).min_generators == (2, 5)
-    assert from_gaps(set()) is WHOLE
-    assert from_gaps(range(1, 5)).min_generators == (5, 6, 7, 8, 9)
+    assert NumericalSemigroup.from_gaps({1, 2, 4}).min_generators == (3, 5, 7)
+    assert NumericalSemigroup.from_gaps({1, 3}).min_generators == (2, 5)
+    assert NumericalSemigroup.from_gaps(set()) is WHOLE
+    assert NumericalSemigroup.from_gaps(range(1, 5)).min_generators == (5, 6, 7, 8, 9)
 
 
 def test_from_gaps_round_trip(catalog8):
     for s in catalog8.semigroups:
-        assert from_gaps(s.gaps) == s
+        assert NumericalSemigroup.from_gaps(s.gaps) == s
 
 
 def test_from_gaps_rejects_non_semigroup():
     with pytest.raises(NotASemigroup) as exc:
-        from_gaps({2})
+        NumericalSemigroup.from_gaps({2})
     assert exc.value.witness == (1, 1)
     with pytest.raises(NotASemigroup) as exc:
-        from_gaps({1, 4})  # 2+2 = 4 would be missing
+        NumericalSemigroup.from_gaps({1, 4})  # 2+2 = 4 would be missing
     assert exc.value.witness == (2, 2)
     with pytest.raises(ValueError):
-        from_gaps({0})
+        NumericalSemigroup.from_gaps({0})
     with pytest.raises(ValueError):
-        from_gaps({-3})
+        NumericalSemigroup.from_gaps({-3})
 
 
 def test_parse_and_str():
@@ -233,7 +233,7 @@ def test_str_parse_round_trip(catalog8):
 
 def test_equality_and_hash():
     a = NumericalSemigroup(2, 3)
-    b = from_gaps({1})
+    b = NumericalSemigroup.from_gaps({1})
     assert a == b and hash(a) == hash(b)
     assert a != NumericalSemigroup(2, 5)
     assert len({a, b, NumericalSemigroup(2, 5)}) == 2
@@ -312,7 +312,7 @@ def test_bools_are_not_integers():
     with pytest.raises(ValueError):
         NumericalSemigroup([3, False])
     with pytest.raises(ValueError) as exc:
-        from_gaps([True])
+        NumericalSemigroup.from_gaps([True])
     assert "gaps must be positive integers" in str(exc.value)
     with pytest.raises(ValueError):
         NumericalSemigroup(3, 5).adjoin({True})
@@ -338,9 +338,9 @@ def test_sparse_nonclosed_inputs_fail_fast():
     # every integer below them
     start = time.process_time()
     with pytest.raises(FrobeniusTooLarge):
-        from_gaps([2**41])
+        NumericalSemigroup.from_gaps([2**41])
     with pytest.raises(NotASemigroup) as exc:
-        from_gaps([10**7])
+        NumericalSemigroup.from_gaps([10**7])
     assert exc.value.witness == (1, 9999999)
     with pytest.raises(NotASemigroup) as exc:
         NumericalSemigroup(3, 5).without([10**7])
@@ -397,7 +397,7 @@ def test_large_two_generator_semigroup_is_fast():
 
 @pytest.mark.parametrize("build", [
     lambda: NumericalSemigroup(5000, 5001),
-    lambda: from_gaps(range(1, 5000)),
+    lambda: NumericalSemigroup.from_gaps(range(1, 5000)),
     lambda: NumericalSemigroup(2 * 10**6, 2 * 10**6 + 1),  # F over the guard too
 ], ids=["generators", "gaps", "huge"])
 def test_multiplicity_guard_fires_before_the_round_robin(build):
@@ -411,8 +411,9 @@ def test_multiplicity_guard_fires_before_the_round_robin(build):
 def test_multiplicity_guard_admits_its_bound(monkeypatch):
     monkeypatch.setattr(semigroup, "MAX_MULTIPLICITY", 50)
     assert NumericalSemigroup(50, 51).multiplicity == 50
-    assert from_gaps(range(1, 50)).multiplicity == 50
-    for build in (lambda: NumericalSemigroup(51, 52), lambda: from_gaps(range(1, 51)),
+    assert NumericalSemigroup.from_gaps(range(1, 50)).multiplicity == 50
+    for build in (lambda: NumericalSemigroup(51, 52),
+                  lambda: NumericalSemigroup.from_gaps(range(1, 51)),
                   lambda: NumericalSemigroup(50, 51).without({50})):  # m goes to 51
         with pytest.raises(MultiplicityTooLarge):
             build()
@@ -459,7 +460,7 @@ def test_multiplicity_guard_fires_before_the_rescan(monkeypatch):
     scan = semigroup.count
     monkeypatch.setattr(semigroup, "count", counted)
     with pytest.raises(MultiplicityTooLarge):
-        from_gaps(range(1, 5001))
+        NumericalSemigroup.from_gaps(range(1, 5001))
     assert calls == [(1,)]
 
 

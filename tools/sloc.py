@@ -1,4 +1,4 @@
-"""Count the code lines, public names and public methods of each module in src/numsgps/.
+"""Count the code lines, public names, public methods and knobs of each module in src/numsgps/.
 
 A code line holds at least one token that is not a comment; blank lines,
 comment-only lines and docstrings (module, class and function) are left
@@ -8,7 +8,11 @@ The package re-exports every module's names, so the names column totals
 to the length of ``numsgps.__all__``.  A module's public methods are the
 functions, properties among them, defined in its class bodies under a
 name with no leading underscore, also read with ast; each name counts
-once per class.  Standard library only.  Run from anywhere:
+once per class.  A module's knobs are the ways a caller can change what a
+call does without naming a different call: the parameters with a default
+value of its public module functions and public methods, plus each read
+of the environment (``os.environ`` or ``os.getenv``), all read with ast.
+Standard library only.  Run from anywhere:
 
     python3 tools/sloc.py
 """
@@ -63,18 +67,34 @@ def public_methods(tree: ast.Module) -> int:
                for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef))
 
 
+def knobs(tree: ast.Module) -> int:
+    """Default-valued parameters of public functions and methods, plus environment reads."""
+    scopes = [tree, *(node for node in ast.walk(tree) if isinstance(node, ast.ClassDef))]
+    functions = [node for scope in scopes for node in scope.body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and not node.name.startswith("_")]
+    defaults = sum(len(f.args.defaults) + sum(d is not None for d in f.args.kw_defaults)
+                   for f in functions)
+    environ = sum(isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+                  and isinstance(node.value, ast.Name) and node.value.id == "os"
+                  for node in ast.walk(tree))
+    return defaults + environ
+
+
 def main() -> int:
-    total = names_total = methods_total = 0
-    print(f"{'code':>6}  {'names':>5}  {'methods':>7}  module")
+    total = names_total = methods_total = knobs_total = 0
+    print(f"{'code':>6}  {'names':>5}  {'methods':>7}  {'knobs':>5}  module")
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         tree = ast.parse(source)
         n, names, methods = code_lines(source), public_names(tree), public_methods(tree)
+        k = knobs(tree)
         total += n
         names_total += names or 0
         methods_total += methods
-        print(f"{n:6d}  {'-' if names is None else names:>5}  {methods:7d}  {path.name}")
-    print(f"{total:6d}  {names_total:5d}  {methods_total:7d}  total")
+        knobs_total += k
+        print(f"{n:6d}  {'-' if names is None else names:>5}  {methods:7d}  {k:5d}  {path.name}")
+    print(f"{total:6d}  {names_total:5d}  {methods_total:7d}  {knobs_total:5d}  total")
     return 0
 
 
