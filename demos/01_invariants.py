@@ -31,7 +31,7 @@ print()
 
 print("the same semigroup can be built from its gap set:")
 rebuilt = NumericalSemigroup.from_gaps(s.gaps)
-print(f"  from_gaps({set(s.gaps)}) == S  ->  {rebuilt == s}")
+print(f"  NumericalSemigroup.from_gaps({set(s.gaps)}) == S  ->  {rebuilt == s}")
 print()
 
 two_gen = NumericalSemigroup(5, 7)

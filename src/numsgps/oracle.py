@@ -28,6 +28,11 @@ link with the tuple read off the gap int of S with its top bits
 cleared, and an object is built only where one is returned
 (_semigroup).  A fast route's object becomes an int, by its gaps
 (_gap_int), only to seed a scan or a read, or to be named.
+Each fact read off a catalog gap int, its tuple (_read), its sorted
+extensions (_extension_ints) and its shortest chain length (_shortest),
+is kept in a module memo on first use, so the catalog, check_extensions,
+check_complexity and pf_gap_search read each int once and walk its
+extensions once; a gap int past the catalog's genus bound is not kept.
 Every genus guard fires before a gap int is made.  So the oracle shares
 no generators, no pertinence and no round robin with the fast routes it
 checks.  It imports, by module:
@@ -196,13 +201,40 @@ def _apery(g: int) -> tuple[int, ...]:
     return tuple([i + m * bits[i::m].count("1") for i in range(m)])
 
 
+# The facts read off a closed gap int g, keyed by g: its Apéry tuple
+# (_read), its extensions in extensions_bruteforce's order
+# (_extension_ints) and its shortest chain length (_shortest, from ℕ's gap
+# int 0 at length 0).  Only a g of genus at most MAX_CATALOG_GENUS = 12 is
+# kept, so each memo holds at most the 1413 semigroups of the genus-12
+# catalog.
+_tuples = {}
+_exts = {}
+_steps = {0: 0}
+
+
+def _keep(memo: dict, g: int, value):
+    """value, kept in memo under g when g has genus at most MAX_CATALOG_GENUS."""
+    if g.bit_count() <= MAX_CATALOG_GENUS:
+        memo[g] = value
+    return value
+
+
+def _read(g: int) -> tuple[int, ...]:
+    """_apery(g), kept in _tuples."""
+    return _tuples.get(g) or _keep(_tuples, g, _apery(g))
+
+
 def _semigroup(g: int) -> NumericalSemigroup:
-    """The semigroup with gap int g, built from _apery(g)."""
-    return _from_apery(_multiplicity(g), _apery(g))
+    """The semigroup with gap int g, built from _read(g)."""
+    return _from_apery(_multiplicity(g), _read(g))
 
 
 def _name(s: NumericalSemigroup) -> str:
-    """s by _int_name on its gap int if its tuple is Ap(S, m) of that int, else as its tuple."""
+    """s by _int_name on its gap int if its tuple is Ap(S, m) of that int, else as its tuple.
+
+    It reads with _apery, which keeps nothing: s may come from a faulty
+    route, and its gap int then need not be closed.
+    """
     g = _gap_int(s)
     return _int_name(g) if _apery(g) == s._apery else f"Apéry tuple {s._apery}"
 
@@ -265,14 +297,18 @@ def extensions_bruteforce(s: NumericalSemigroup) -> list[NumericalSemigroup]:
     x, where B's has 1.  The candidates are sorted as gap ints
     (_extension_ints) and built only afterwards, with no generators.
     """
-    return list(map(_semigroup, _extension_ints(s)))
-
-
-def _extension_ints(s: NumericalSemigroup) -> list[int]:
-    """The gap ints of extensions_bruteforce(s), in its order."""
     if s.is_whole:
         raise WholeMonoid("the full monoid is its only extension")
-    return sorted(_extensions(_gap_int(s)), key=lambda g: (-g.bit_count(), _bits(g)))
+    return list(map(_semigroup, _extension_ints(_gap_int(s))))
+
+
+def _extension_ints(g: int) -> tuple[int, ...]:
+    """The closed gap ints between g and g less PF, kept in _exts.
+
+    They run in extensions_bruteforce's order, so a closed g comes first.
+    """
+    return _exts.get(g) or _keep(_exts, g, tuple(
+        sorted(_extensions(g), key=lambda h: (-h.bit_count(), _bits(h)))))
 
 
 def min_ichain_bfs(s: NumericalSemigroup) -> int:
@@ -280,22 +316,21 @@ def min_ichain_bfs(s: NumericalSemigroup) -> int:
 
     Found without the closed form, by recursion over the ideal-extension
     graph: 0 for the full monoid, otherwise one more than the least value
-    over the proper extensions of s, which _extensions lists as gap ints.
+    over the proper extensions of s, which _extension_ints lists as gap
+    ints after that of s itself.
     """
     return _shortest(_gap_int(s, MAX_CATALOG_GENUS, "catalog"))
 
 
-# Shortest chain length by gap int; 0 is the full monoid.  A proper
-# extension has fewer gaps, so the extension graph is acyclic and the
-# recursion ends.  Every node it reaches has genus at most the input's,
-# which the guard keeps within MAX_CATALOG_GENUS = 12, so the memo holds at
-# most the 1413 semigroups of the genus-12 catalog.
-_steps = {0: 0}
-
-
 def _shortest(g: int) -> int:
+    """The shortest chain length from gap int g, kept in _steps.
+
+    A proper extension has fewer gaps, so the extension graph is acyclic
+    and the recursion ends.  Every node it reaches has genus at most g's,
+    which the guard of each caller keeps within MAX_CATALOG_GENUS.
+    """
     if g not in _steps:
-        _steps[g] = 1 + min(_shortest(h) for h in _extensions(g) if h != g)
+        _steps[g] = 1 + min(map(_shortest, _extension_ints(g)[1:]))
     return _steps[g]
 
 
@@ -305,16 +340,18 @@ def pf_gap_search(max_genus: int) -> list[tuple[NumericalSemigroup, int, int]]:
     Returns (s, complexity, mu_pf) triples with mu_pf > complexity, in
     catalog order.  The catalog's gap ints run by ascending genus, and
     S ∪ PF(S), whose gap int is g less PF(S), has fewer gaps than S, so
-    each mu_pf is one more than the entry already kept for it.  An object
-    is built only to read its complexity.  The second route, in the tests,
-    steps each whole PF chain with the checked adjoin.
+    each mu_pf is one more than the entry already kept for it.  The
+    complexity ⌊F/m⌋ + 1 is read off the int, F = bit_length − 1, and an
+    object is built only for a hit.  The second route, in the tests,
+    steps each whole PF chain with the checked adjoin and reads each
+    complexity with chains.complexity.
     """
     steps, out = {0: 0}, []
     for lvl in _levels(max_genus)[1:]:
         for g in lvl:
             k = steps[g] = 1 + steps[g & ~sum(1 << x for x in _pf(g))]
-            if k > (c := complexity(s := _semigroup(g))):
-                out.append((s, c, k))
+            if k > (c := (g.bit_length() - 1) // _multiplicity(g) + 1):
+                out.append((_semigroup(g), c, k))
     return out
 
 
@@ -344,15 +381,13 @@ def check_extensions(catalog: GenusCatalog) -> str | None:
 
     Each side is a list of Apéry tuples, which is what equality of objects
     compares: the fast route's as built, the oracle's read off its sorted
-    gap ints (_apery), so no oracle object is built.  An extension has no
-    more gaps than its member, so it is a catalog member too, and each
-    tuple is read once per call (``read``).
+    gap ints (_read), so no oracle object is built.  An extension has no
+    more gaps than its member, so it is a catalog member too, and its
+    tuple is the one the catalog read.
     """
-    read = {}
     return _first_mismatch(catalog, "extensions",
                            lambda s: [d._apery for d in ideal_extensions(s)],
-                           lambda s: [read.get(g) or read.setdefault(g, _apery(g))
-                                      for g in _extension_ints(s)],
+                           lambda s: list(map(_read, _extension_ints(_gap_int(s)))),
                            lambda aps: [_name(_from_apery(len(ap), ap)) for ap in aps])
 
 
@@ -361,7 +396,7 @@ def check_complexity(catalog: GenusCatalog) -> str | None:
 
     Link k ≥ 1 of the gamma chain of S, j = C(S) − k steps above ℕ, is S
     with every integer at or above j·m filled in, so its Apéry tuple must
-    be the one _apery reads off the gap int g of S with those bits cleared
+    be the one _read reads off the gap int g of S with those bits cleared
     (_gamma_reads); j = 0 gives ℕ.  Link 0 is S itself.  g is made once
     per member, behind the catalog's genus guard, as min_ichain_bfs makes
     it, and seeds both the shortest chain and the link reads.
@@ -382,21 +417,17 @@ def check_complexity(catalog: GenusCatalog) -> str | None:
     return None
 
 
-# The Apéry tuples that _apery reads off gap int h and off each link of its
-# gamma chain: h with every bit at or above ⌊F/m⌋·m cleared, and so on
-# down to ℕ, whose gap int is 0.  The links of one semigroup are those of
-# its first link, so each int is read once.  check_complexity reads only
-# links of semigroups that the catalog guard has admitted, and a link has no
-# more gaps, so the memo holds at most the 1413 semigroups of the genus-12
-# catalog.
-_reads = {0: ((0,),)}
-
-
 def _gamma_reads(h: int) -> tuple[tuple[int, ...], ...]:
-    if h not in _reads:
-        m = _multiplicity(h)
-        _reads[h] = (_apery(h), *_gamma_reads(h & (1 << (h.bit_length() - 1) // m * m) - 1))
-    return _reads[h]
+    """The tuples _read gives for gap int h and each link of its gamma chain.
+
+    Each link clears one block: every bit of h at or above ⌊F/m⌋·m, and
+    so on down to ℕ, whose gap int is 0.  m stays that of h on the way.
+    """
+    m, reads = _multiplicity(h), [_read(h)]
+    while h:
+        h &= (1 << (h.bit_length() - 1) // m * m) - 1
+        reads.append(_read(h))
+    return tuple(reads)
 
 
 def check_tree(catalog: GenusCatalog) -> str | None:

@@ -13,7 +13,7 @@ DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 # sha256 of each demo's stdout, as GOLDEN pins the CLI's; 05 prints timings,
 # so it is not pinned
 STDOUT_SHA256 = {
-    "01_invariants.py": "bf0d264722455b776fe2c43dfa19ae9d67019795cc5ffb4a2097de18cf22a674",
+    "01_invariants.py": "f8f6298e8d335887db6c25018a815443ef4d0b2e1b6769e8db4dc6368882cbe3",
     "02_ideal_extensions.py": "40192e3439f6530ff49f470be9639d1c85f2f7fb14318d0ef03b70530101447c",
     "03_chains_and_complexity.py":
         "35874cf7703ae6f636e3a06e5defce9866edab89379153649d37e49656abc74f",

@@ -187,7 +187,7 @@ def test_extension_routes_never_edit(catalog8, monkeypatch):
     # nor does the oracle share the fast route's pertinence or round robin
     for name in ("pertinent_sets", "is_pertinent", "_extend"):
         monkeypatch.setattr(extensions, name, refuse)
-    monkeypatch.setattr(oracle, "ideal_extensions", refuse)
+    _patch_oracle(monkeypatch, "ideal_extensions", refuse)
     monkeypatch.setattr(semigroup, "_from_generators", refuse)
     for s, exts in fast.items():
         assert extensions_bruteforce(s) == exts, s
@@ -218,8 +218,7 @@ def test_check_complexity_runs_the_shortest_chain_on_every_member(catalog12, mon
         if guard[1:] == ("catalog",):
             calls.append(g)
         return g
-    monkeypatch.setattr(oracle, "_gap_int", counted)
-    monkeypatch.setattr(oracle, "_steps", {0: 0})
+    _patch_oracle(monkeypatch, "_gap_int", counted)
     assert check_complexity(catalog12) is None
     assert len(calls) == len(catalog12.semigroups) == 1413
     assert set(calls) <= set(oracle._steps)
@@ -248,10 +247,33 @@ def _refuse(*args):
     raise AssertionError("called")
 
 
-def _empty_memo_and_refuse_builds(monkeypatch):
-    """Empty the shortest-chain memo and make every semigroup build raise."""
+def _empty_memos(monkeypatch):
+    """Give every oracle memo a fresh dict for this test, so no entry that
+    an earlier test made is read; the old dicts come back after it."""
+    monkeypatch.setattr(oracle, "_tuples", {})
+    monkeypatch.setattr(oracle, "_exts", {})
     monkeypatch.setattr(oracle, "_steps", {0: 0})
-    monkeypatch.setattr(oracle, "_from_apery", _refuse)
+
+
+def _patch_oracle(monkeypatch, name, value):
+    """Patch oracle internal ``name`` for this test, every memo emptied first."""
+    _empty_memos(monkeypatch)
+    monkeypatch.setattr(oracle, name, value)
+
+
+def test_empty_memos_covers_every_oracle_memo(monkeypatch):
+    # every module-level dict of the oracle but CHECKS is a memo
+    memos = {name: memo for name, memo in vars(oracle).items()
+             if isinstance(memo, dict) and not name.startswith("__") and name != "CHECKS"}
+    assert sorted(memos) == ["_exts", "_steps", "_tuples"]
+    _empty_memos(monkeypatch)
+    for name, memo in memos.items():
+        assert getattr(oracle, name) is not memo and set(getattr(oracle, name)) <= {0}, name
+
+
+def _empty_memo_and_refuse_builds(monkeypatch):
+    """Empty every oracle memo and make every semigroup build raise."""
+    _patch_oracle(monkeypatch, "_from_apery", _refuse)
     monkeypatch.setattr(extensions, "_extend", _refuse)
     monkeypatch.setattr(semigroup, "_from_generators", _refuse)
 
@@ -281,6 +303,78 @@ def test_min_ichain_bfs_builds_each_reached_semigroup_once(catalog10, monkeypatc
         assert min_ichain_bfs(s) == complexity(s), s
         # one memo entry per reached gap set, the full monoid's 0 among them
         assert set(oracle._steps) == keys[s], s
+
+
+def test_check_complexity_walks_no_extension_that_check_ext_walked(catalog10, monkeypatch):
+    # each catalog gap int's extensions are walked once, by whichever check
+    # comes first, and the other reads the kept list
+    walked, walk = [], oracle._extensions
+
+    def counted(g):
+        walked.append(g)
+        return walk(g)
+    _patch_oracle(monkeypatch, "_extensions", counted)
+    assert check_extensions(catalog10) is None
+    assert len(walked) == len(set(walked)) == 477  # every member but ℕ
+    walked.clear()
+    assert check_complexity(catalog10) is None
+    assert walked == []
+    _empty_memos(monkeypatch)  # the other order
+    assert check_complexity(catalog10) is None
+    assert len(walked) == len(set(walked)) == 477
+    walked.clear()
+    assert check_extensions(catalog10) is None
+    assert walked == []
+
+
+def test_each_catalog_gap_int_is_read_once(monkeypatch):
+    # the catalog reads each member's tuple, and check_ext and
+    # check_complexity, on the bench's slices of 4, read none again
+    reads, read = [], oracle._apery
+
+    def counted(g):
+        reads.append(g)
+        return read(g)
+    _patch_oracle(monkeypatch, "_apery", counted)
+    cat = enumerate_by_genus(10)
+    assert len(reads) == len(set(reads)) == 478
+    for lo in range(0, 478, 4):
+        part = GenusCatalog(10, (tuple(cat.semigroups[lo:lo + 4]),))
+        assert check_extensions(part) is None and check_complexity(part) is None, lo
+    assert len(reads) == 478
+
+
+def test_memos_hold_at_most_the_genus_12_catalog(monkeypatch, capsys):
+    _empty_memos(monkeypatch)
+    assert cli.main(["verify", "--max-genus", "12"]) == 0
+    assert capsys.readouterr().out.count(": ok") == 4
+    catalog = {g for lvl in oracle._levels(12) for g in lvl}
+    assert len(catalog) == 1413
+    for memo in (oracle._tuples, oracle._exts, oracle._steps):
+        assert set(memo) <= catalog and len(memo) <= 1413
+    assert len(oracle._tuples) == 1413
+
+
+def test_a_genus_past_the_catalog_bound_is_not_kept(monkeypatch):
+    # <48,77,101> has genus 912, and each extension at least 912 less its type
+    _empty_memos(monkeypatch)
+    s = NumericalSemigroup(48, 77, 101)
+    assert s.genus == 912
+    assert extensions_bruteforce(s) == ideal_extensions(s)
+    assert (oracle._tuples, oracle._exts, oracle._steps) == ({}, {}, {0: 0})
+
+
+def test_pf_gap_search_builds_only_its_hits(monkeypatch):
+    # the complexity is read off each gap int, so only a hit is built
+    built, build = [], oracle._from_apery
+
+    def counted(m, ap):
+        built.append(ap)
+        return build(m, ap)
+    _patch_oracle(monkeypatch, "_from_apery", counted)
+    hits = pf_gap_search(12)
+    assert len(built) == len(hits) == 551
+    assert built == [s._apery for s, _, _ in hits]
 
 
 def test_pf_gap_search(monkeypatch):
@@ -320,15 +414,15 @@ def test_all_checks_pass(catalog8):
 
 
 def test_checks_report_counterexamples(catalog8, monkeypatch):
-    monkeypatch.setattr(oracle, "pf_bruteforce", lambda s: {1})
+    _patch_oracle(monkeypatch, "pf_bruteforce", lambda s: {1})
     report = check_pf(catalog8)
     assert report is not None and "pf mismatch" in report
 
-    monkeypatch.setattr(oracle, "_extension_ints", lambda s: [])
+    _patch_oracle(monkeypatch, "_extension_ints", lambda g: [])
     report = check_extensions(catalog8)
     assert report is not None and "extensions mismatch" in report
 
-    monkeypatch.setattr(oracle, "complexity", lambda s: 99)
+    _patch_oracle(monkeypatch, "complexity", lambda s: 99)
     report = check_complexity(catalog8)
     assert report is not None and "complexity mismatch" in report
     report = check_tree(catalog8)
@@ -336,12 +430,12 @@ def test_checks_report_counterexamples(catalog8, monkeypatch):
 
 
 def test_check_reports_name_the_first_counterexample(catalog8, monkeypatch):
-    monkeypatch.setattr(oracle, "pf_bruteforce", lambda s: {1})
+    _patch_oracle(monkeypatch, "pf_bruteforce", lambda s: {1})
     assert check_pf(catalog8) == "pf mismatch at <2,5>: fast=[3] brute=[1]"
-    monkeypatch.setattr(oracle, "_extension_ints", lambda s: [])
+    _patch_oracle(monkeypatch, "_extension_ints", lambda g: [])
     assert check_extensions(catalog8) == (
         "extensions mismatch at <2,3>: fast=['<2,3>', '<1>'] brute=[]")
-    monkeypatch.setattr(oracle, "_shortest", lambda g: 99)
+    _patch_oracle(monkeypatch, "_shortest", lambda g: 99)
     assert check_complexity(catalog8) == "complexity mismatch at <1>: closed-form=0 bfs=99"
 
 
@@ -364,7 +458,7 @@ def test_gamma_reads_clear_one_block_per_link(catalog12):
 
 
 def test_check_complexity_reports_a_wrong_gamma_link(catalog12, monkeypatch, capsys):
-    monkeypatch.setattr(oracle, "chain", _first_clamp_chain)
+    _patch_oracle(monkeypatch, "chain", _first_clamp_chain)
     report = "complexity mismatch at <2,7>: gamma link 2=<2,5> brute=<2,3>"
     assert check_complexity(catalog12) == report
     assert cli.main(["verify", "--max-genus", "12"]) == 1
@@ -398,6 +492,7 @@ def test_check_ext_reports_a_tuple_whose_gaps_read_right(catalog8, monkeypatch,
                                                          module, name, fault, report):
     # each faulty tuple reads, up to its F, the gap int of the right answer, so
     # only a comparison of the tuples themselves reports it
+    _empty_memos(monkeypatch)
     monkeypatch.setattr(module, name, fault)
     assert check_extensions(catalog8) == report
 
@@ -491,12 +586,15 @@ def test_verify_catches_a_walk_that_raises_by_2m(catalog10, monkeypatch):
 def test_a_removal_without_refuses_is_a_counterexample(catalog10, monkeypatch, capsys):
     # offering every Apéry element of the top block, not only the minimal
     # generators, walks to sets that are no semigroup: a counterexample
-    # (exit 1), not a usage error (exit 2), and named by its gaps
+    # (exit 1), not a usage error (exit 2), and named by its gaps; naming it
+    # keeps nothing, as the memos hold closed gap ints only
+    _empty_memos(monkeypatch)
     monkeypatch.setattr(genealogy, "_candidates", lambda ap: tuple(
         sorted(w for w in ap if w > max(ap) // len(ap) * len(ap))))
     report = ("tree edge mismatch at <3,4> minus [8]: child set with gaps {1,2,5,8} is "
               "refused by without: not closed under addition: 4 + 4 = 8 is missing")
     assert check_tree(catalog10) == report
+    assert (oracle._tuples, oracle._exts, oracle._steps) == ({}, {}, {0: 0})
     assert cli.main(["verify", "--max-genus", "10", "--checks", "tree"]) == 1
     assert f"check tree: FAIL {report}" in capsys.readouterr().out
 
